@@ -6,33 +6,36 @@ namespace rfs::net {
 
 void TcpStream::send(Bytes message) {
   if (closed_ || !peer_) return;
-  sim::spawn(net_.engine(), deliver(peer_, std::move(message)));
+  sim::spawn(net_.engine(), deliver(net_, local_, remote_, peer_, std::move(message)));
 }
 
-sim::Task<void> TcpStream::deliver(std::shared_ptr<TcpStream> peer, Bytes message) {
+sim::Task<void> TcpStream::deliver(TcpNetwork& net, fabric::DeviceId local,
+                                   fabric::DeviceId remote, std::shared_ptr<TcpStream> peer,
+                                   Bytes message) {
   Duration extra_delay = 0;
-  if (auto* faults = net_.fault_injector()) {
-    const auto fate = faults->decide(local_, remote_, net_.engine().now());
+  if (auto* faults = net.fault_injector()) {
+    const auto fate = faults->decide(local, remote, net.engine().now());
     if (fate.drop) co_return;
     // Copies re-enter the wire independently (each pays its own stack
     // and link costs) but never re-roll the dice: one decision governs
     // one logical send.
     for (unsigned copy = 0; copy < fate.duplicates; ++copy) {
-      sim::spawn(net_.engine(), transmit(peer, message, fate.extra_delay));
+      sim::spawn(net.engine(), transmit(net, local, remote, peer, message, fate.extra_delay));
     }
     extra_delay = fate.extra_delay;
   }
-  co_await transmit(std::move(peer), std::move(message), extra_delay);
+  co_await transmit(net, local, remote, std::move(peer), std::move(message), extra_delay);
 }
 
-sim::Task<void> TcpStream::transmit(std::shared_ptr<TcpStream> peer, Bytes message,
-                                    Duration extra_delay) {
-  const auto& model = net_.model();
+sim::Task<void> TcpStream::transmit(TcpNetwork& net, fabric::DeviceId local,
+                                    fabric::DeviceId remote, std::shared_ptr<TcpStream> peer,
+                                    Bytes message, Duration extra_delay) {
+  const auto& model = net.model();
   // Chaos hold: messages sent later can overtake this one (reordering).
   if (extra_delay > 0) co_await sim::delay(extra_delay);
   // Sender-side stack traversal (syscall, segmentation, checksum).
   co_await sim::delay(model.tcp_stack_latency);
-  Time arrival = net_.link().reserve_tcp(local_, remote_, message.size());
+  Time arrival = net.link().reserve_tcp(local, remote, message.size());
   co_await sim::delay_until(arrival);
   // Receiver-side stack traversal (interrupt, reassembly, socket wake-up).
   co_await sim::delay(model.tcp_stack_latency);

@@ -47,8 +47,14 @@ class TcpStream : public std::enable_shared_from_this<TcpStream> {
   TcpStream(TcpNetwork& net, fabric::DeviceId local, fabric::DeviceId remote)
       : net_(net), local_(local), remote_(remote) {}
 
-  sim::Task<void> deliver(std::shared_ptr<TcpStream> peer, Bytes message);
-  sim::Task<void> transmit(std::shared_ptr<TcpStream> peer, Bytes message, Duration extra_delay);
+  // Static, with the endpoint ids copied in: a message in flight must not
+  // touch its sender, whose last reference may drop before it lands.
+  static sim::Task<void> deliver(TcpNetwork& net, fabric::DeviceId local,
+                                 fabric::DeviceId remote, std::shared_ptr<TcpStream> peer,
+                                 Bytes message);
+  static sim::Task<void> transmit(TcpNetwork& net, fabric::DeviceId local,
+                                  fabric::DeviceId remote, std::shared_ptr<TcpStream> peer,
+                                  Bytes message, Duration extra_delay);
 
   TcpNetwork& net_;
   fabric::DeviceId local_;

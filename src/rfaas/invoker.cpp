@@ -33,28 +33,8 @@ LeaseSet::~LeaseSet() {
   state_->chain_extended_fn = nullptr;
 }
 
-void LeaseSet::bind(std::shared_ptr<net::TcpStream> rm_stream,
-                    std::shared_ptr<sim::Mutex> request_mutex) {
-  state_->stream = std::move(rm_stream);
-  state_->request_mutex = std::move(request_mutex);
-}
-
 void LeaseSet::bind(std::shared_ptr<Session> rm_session) {
   state_->session = std::move(rm_session);
-  // The session owns its stream's recv side; keep the bare-stream fields
-  // in sync so availability checks see the same transport.
-  state_->stream = state_->session->stream();
-  state_->request_mutex = nullptr;
-}
-
-void LeaseSet::subscribe(std::shared_ptr<net::TcpStream> notify_stream,
-                         std::uint32_t client_id) {
-  state_->client_id = client_id;
-  state_->healing_enabled = true;
-  SubscribeEventsMsg msg;
-  msg.client_id = client_id;
-  notify_stream->send(encode(msg));
-  sim::spawn(*state_->engine, notify_loop(state_, std::move(notify_stream)));
 }
 
 void LeaseSet::subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id) {
@@ -66,7 +46,7 @@ void LeaseSet::subscribe(std::shared_ptr<Session> notify_session, std::uint32_t 
   // duplicated or lost subscribe needs no request/reply discipline; a
   // lost one is resent by the next allocate() on a fresh stream.
   notify_session->send_raw(encode(msg));
-  sim::spawn(*state_->engine, notify_loop_session(state_, std::move(notify_session)));
+  sim::spawn(*state_->engine, notify_loop(state_, std::move(notify_session)));
 }
 
 void LeaseSet::configure(LeaseSetOptions options) {
@@ -131,10 +111,7 @@ std::uint64_t LeaseSet::abandon(std::uint64_t origin) {
 }
 
 void LeaseSet::start() {
-  if (state_->session == nullptr &&
-      (state_->stream == nullptr || state_->request_mutex == nullptr)) {
-    return;
-  }
+  if (state_->session == nullptr) return;
   // Re-arm healing after a stop()/start() cycle (subscribe() set it the
   // first time; the notification listener itself survives stop()).
   if (state_->options.self_heal) state_->healing_enabled = true;
@@ -211,10 +188,7 @@ void LeaseSet::maybe_heal(const std::shared_ptr<State>& state, std::uint64_t old
                           const Tracked& lost) {
   if (!state->options.self_heal || !state->healing_enabled) return;
   if (lost.workers == 0) return;  // shape unknown: nothing to re-request
-  const bool session_ok = state->session != nullptr && !state->session->closed();
-  const bool stream_ok = state->stream != nullptr && !state->stream->closed() &&
-                         state->request_mutex != nullptr;
-  if (!session_ok && !stream_ok) return;
+  if (state->session == nullptr || state->session->closed()) return;
   // A lost lease is erased from the table before this runs, so the same
   // loss never heals twice; losses of different chain members (partial
   // heals) may overlap, hence a per-origin count rather than a set.
@@ -280,16 +254,7 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
 }
 
 sim::Task<void> LeaseSet::notify_loop(std::shared_ptr<State> state,
-                                      std::shared_ptr<net::TcpStream> stream) {
-  while (true) {
-    auto raw = co_await stream->recv();
-    if (!raw.has_value()) co_return;  // unsubscribed / manager gone
-    handle_notification(state, *raw);
-  }
-}
-
-sim::Task<void> LeaseSet::notify_loop_session(std::shared_ptr<State> state,
-                                              std::shared_ptr<Session> session) {
+                                      std::shared_ptr<Session> session) {
   // The session pump already filtered duplicated deliveries (by push
   // seq), so every message seen here is a first delivery.
   while (true) {
@@ -301,21 +266,11 @@ sim::Task<void> LeaseSet::notify_loop_session(std::shared_ptr<State> state,
 
 sim::Task<Result<Bytes>> LeaseSet::exchange(std::shared_ptr<State> state,
                                             std::function<Bytes(std::uint64_t)> make) {
-  if (state->session != nullptr) {
-    if (state->session->closed()) co_return Error::make(40, "manager session closed");
-    const std::uint64_t id = state->session->next_request_id();
-    co_return co_await state->session->call(make(id), id);
+  if (state->session == nullptr || state->session->closed()) {
+    co_return Error::make(40, "manager session closed");
   }
-  if (state->stream == nullptr || state->stream->closed() ||
-      state->request_mutex == nullptr) {
-    co_return Error::make(40, "manager stream closed");
-  }
-  co_await state->request_mutex->lock();
-  state->stream->send(make(0));
-  auto raw = co_await state->stream->recv();
-  state->request_mutex->unlock();
-  if (!raw.has_value()) co_return Error::make(40, "manager disconnected");
-  co_return *raw;
+  const std::uint64_t id = state->session->next_request_id();
+  co_return co_await state->session->call(make(id), id);
 }
 
 sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
@@ -376,14 +331,8 @@ sim::Task<void> LeaseSet::release_via_session(std::shared_ptr<Session> session,
 }
 
 void LeaseSet::send_release(const std::shared_ptr<State>& state, ReleaseResourcesMsg rel) {
-  if (state->session != nullptr) {
-    if (!state->session->closed()) {
-      sim::spawn(*state->engine, release_via_session(state->session, rel));
-    }
-    return;
-  }
-  if (state->stream != nullptr && !state->stream->closed()) {
-    state->stream->send(encode(rel));
+  if (state->session != nullptr && !state->session->closed()) {
+    sim::spawn(*state->engine, release_via_session(state->session, rel));
   }
 }
 
@@ -402,10 +351,7 @@ sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_i
       canceled = true;
       break;
     }
-    if (state->session != nullptr ? state->session->closed()
-                                  : (state->stream == nullptr || state->stream->closed())) {
-      break;
-    }
+    if (state->session->closed()) break;
 
     LeaseRequestMsg req;
     req.client_id = state->client_id;
@@ -579,12 +525,7 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
       }
       const Duration extension = state->options.extension != 0 ? state->options.extension
                                                                : it->second.original_timeout;
-      const bool transport_up =
-          state->session != nullptr
-              ? !state->session->closed()
-              : (state->stream != nullptr && !state->stream->closed() &&
-                 state->request_mutex != nullptr);
-      if (!transport_up) {
+      if (state->session->closed()) {
         ++state->renewal_failures;
         if (state->renewal_failed_fn) state->renewal_failed_fn(id, "manager stream closed");
         failed = true;
@@ -648,7 +589,6 @@ Invoker::Invoker(sim::Engine& engine, fabric::Fabric& fabric, net::TcpNetwork& t
       rm_port_(rm_port),
       client_id_(client_id),
       pd_(device.alloc_pd()),
-      rm_mutex_(std::make_shared<sim::Mutex>()),
       lease_set_(std::make_unique<LeaseSet>(engine)),
       slots_(std::make_unique<sim::Semaphore>(0)),
       slot_sem_(std::make_unique<sim::Semaphore>(0)) {}
@@ -988,150 +928,6 @@ void Invoker::reserve_slots(std::size_t count, std::size_t max_input, std::size_
   }
 }
 
-sim::Task<InvocationResult> Invoker::invoke_pooled(std::uint16_t fn_index,
-                                                   std::span<const std::uint8_t> payload) {
-  const Time submitted = engine_.now();
-  InvocationResult result;
-  if (slot_pool_.empty()) {
-    result.submitted_at = submitted;
-    result.completed_at = engine_.now();
-    co_return result;  // reserve_slots() was never called
-  }
-  co_await slot_sem_->acquire();
-  const std::size_t slot_idx = free_slots_.front();
-  free_slots_.pop_front();
-  InvocationSlot& slot = *slot_pool_[slot_idx];
-
-  const std::size_t n = std::min<std::size_t>(payload.size(), slot.in.payload_bytes());
-  if (n > 0) std::memcpy(slot.in.data(), payload.data(), n);
-
-  if (config_.fault_tolerance.enabled()) {
-    // Fault-tolerant path: per-attempt deadlines, budgeted retries,
-    // optional hedging. Same pooled slot, same zero-allocation frame.
-    result = co_await invoke_pooled_reliable(fn_index, slot_idx, n);
-  } else {
-    // Redirect loop, like submit(): rejected warm invocations move to
-    // the next free worker.
-    const std::size_t max_attempts = workers_.empty() ? 1 : 2 * workers_.size();
-    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      co_await slots_->acquire();
-      const std::size_t widx = free_workers_.front();
-      free_workers_.pop_front();
-
-      result = co_await invoke_pooled_on(widx, fn_index, slot, n);
-
-      free_workers_.push_back(widx);
-      slots_->release();
-
-      if (result.ok) break;
-      if (result.rejected) ++rejections_;
-      co_await sim::delay(2_us);
-    }
-  }
-  free_slots_.push_back(slot_idx);
-  slot_sem_->release();
-  result.submitted_at = submitted;
-  co_return result;
-}
-
-sim::Task<InvocationResult> Invoker::invoke_pooled_on(std::size_t worker,
-                                                      std::uint16_t fn_index,
-                                                      InvocationSlot& slot,
-                                                      std::size_t payload_bytes,
-                                                      std::uint64_t tag, Time deadline) {
-  InvocationResult result;
-  result.submitted_at = engine_.now();
-  WorkerRef& w = workers_[worker];
-  if (w.conn == nullptr || !w.conn->alive()) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  const std::uint32_t invocation_id = next_invocation_++ & 0x7FFFFu;
-
-  // Frame fast path: pack the header straight into the slot's registered
-  // region — no staging buffer, no allocation. The fault-tolerant path
-  // adds the idempotent tag, the per-attempt deadline and (optionally)
-  // a request checksum; all land in the same 32 B header.
-  InvocationHeader header;
-  header.result_addr = reinterpret_cast<std::uint64_t>(slot.out.raw());
-  header.result_rkey = slot.out.mr() != nullptr ? slot.out.mr()->rkey() : 0;
-  header.invocation_tag = tag;
-  header.deadline = deadline;
-  header.checksum = tag != 0 && config_.fault_tolerance.checksum
-                        ? payload_checksum(slot.in.data(), payload_bytes)
-                        : 0;
-  (void)encode_into(header, slot.in.raw(), InvocationHeader::kSize);
-
-  (void)w.conn->post_recv_empty(invocation_id);
-
-  // Header + payload leave as one contiguous span of the slot; the fabric
-  // forwards single-SGE non-inline payloads by reference (zero-copy).
-  const fabric::Sge sge = slot.in.sge_with_header(payload_bytes);
-  const bool inline_ok = sge.length <= fabric_.model().max_inline;
-  auto st = w.conn->post_write_imm(sge, w.remote_buf, Imm::invocation(fn_index, invocation_id),
-                                   invocation_id, inline_ok);
-  if (!st.ok()) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  auto send_wc = polling_client_ ? co_await w.conn->wait_send_polling()
-                                 : co_await w.conn->wait_send_blocking();
-  if (send_wc.status != fabric::WcStatus::Success) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  fabric::Wc wc;
-  if (deadline != 0) {
-    // Deadline-bounded wait: an executor that crashed or wedged after
-    // the submit surfaces as a timeout instead of blocking forever.
-    std::optional<fabric::Wc> maybe;
-    if (polling_client_) {
-      maybe = co_await w.conn->wait_recv_polling_until(deadline);
-    } else {
-      maybe = co_await w.conn->wait_recv_blocking_until(deadline);
-    }
-    if (!maybe.has_value()) {
-      result.timed_out = true;
-      result.completed_at = engine_.now();
-      co_return result;
-    }
-    wc = *maybe;
-  } else if (polling_client_) {
-    wc = co_await w.conn->wait_recv_polling();
-  } else {
-    wc = co_await w.conn->wait_recv_blocking();
-  }
-  co_await sim::delay(config_.client_completion);
-  result.completed_at = engine_.now();
-  if (wc.status != fabric::WcStatus::Success || !wc.has_imm) co_return result;
-  const InvocationResponse resp = decode_invocation_response(wc);
-  if (resp.invocation_id != invocation_id) {
-    // With FT on, a reaped worker's stale completion can legitimately
-    // surface here (the abandoned attempt's reply raced the reap).
-    if (tag == 0) {
-      log::warn("invoker", "immediate mismatch: got ", wc.imm, " expected ", invocation_id);
-    } else {
-      log::debug("invoker", "stale immediate: got ", wc.imm, " expected ", invocation_id);
-    }
-    co_return result;
-  }
-  result.rejected = resp.rejected;
-  result.ok = !resp.rejected;
-  result.output_bytes = resp.output_bytes;
-  if (result.ok && resp.checksum12 != 0 &&
-      fold12(payload_checksum(slot.out.raw(), resp.output_bytes)) != resp.checksum12) {
-    // The responder checksummed its output and the landed bytes do not
-    // match: response corrupted in flight. Surfaced for a same-worker
-    // retry — the executor's dedup table replays a clean copy.
-    result.ok = false;
-    result.corrupt = true;
-  }
-  co_return result;
-}
-
 // --------------------------------------------------------------------------
 // Fault-tolerant data plane (client side)
 // --------------------------------------------------------------------------
@@ -1246,115 +1042,264 @@ sim::Task<void> Invoker::send_health_report(std::shared_ptr<Session> session,
   (void)co_await session->call(encode(msg), msg.request_id);
 }
 
-sim::Task<InvocationResult> Invoker::invoke_pooled_reliable(std::uint16_t fn_index,
-                                                            std::size_t slot_idx,
-                                                            std::size_t payload_bytes) {
-  const FaultToleranceConfig& ft = config_.fault_tolerance;
-  constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
-  InvocationResult result;
-  const std::uint64_t tag = mint_tag();
-  std::size_t widx = kNoWorker;  // owned worker carried across attempts
+// --------------------------------------------------------------------------
+// The invocation pipeline: one retry loop over one attempt core
+// --------------------------------------------------------------------------
 
-  for (std::uint32_t attempt = 0; attempt <= ft.retry_budget; ++attempt) {
-    if (widx == kNoWorker) {
+namespace {
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+}  // namespace
+
+sim::Future<InvocationResult> Invoker::submit_raw(std::uint16_t fn_index, Buffers bufs) {
+  sim::Promise<InvocationResult> promise;
+  auto future = promise.get_future();
+  sim::spawn(engine_, fulfil(run_invocation(fn_index, bufs, {}), std::move(promise)));
+  return future;
+}
+
+sim::Task<void> Invoker::fulfil(sim::Task<InvocationResult> task,
+                                sim::Promise<InvocationResult> promise) {
+  promise.set_value(co_await std::move(task));
+}
+
+sim::Task<InvocationResult> Invoker::run_invocation(std::uint16_t fn_index, Buffers bufs,
+                                                    std::span<const std::uint8_t> payload) {
+  const Time submitted = engine_.now();
+  InvocationResult result;
+  std::size_t slot_idx = kNone;
+  if (bufs.in.addr == 0) {
+    if (slot_pool_.empty()) {  // reserve_slots() was never called
+      result.submitted_at = submitted;
+      result.completed_at = submitted;
+      co_return result;
+    }
+    co_await slot_sem_->acquire();
+    slot_idx = free_slots_.front();
+    free_slots_.pop_front();
+    InvocationSlot& slot = *slot_pool_[slot_idx];
+    const std::size_t n = std::min<std::size_t>(payload.size(), slot.in.payload_bytes());
+    if (n > 0) std::memcpy(slot.in.data(), payload.data(), n);
+    bufs = Buffers{slot.in.sge_with_header(n), slot.out.remote_data()};
+  }
+
+  const FaultToleranceConfig& ft = config_.fault_tolerance;
+  const bool reliable = ft.enabled();
+  const std::uint64_t tag = reliable ? mint_tag() : 0;
+  // Without FT a rejected warm invocation is redirected to the next
+  // worker; RDMA-speed rejections make this cheap (Sec. III-D).
+  const std::size_t max_attempts =
+      reliable ? 1 + ft.retry_budget : (workers_.empty() ? 1 : 2 * workers_.size());
+  std::size_t widx = kNone;  // worker kept across attempts (corruption retry)
+  for (std::size_t n = 0; n < max_attempts; ++n) {
+    if (widx == kNone) {
       co_await slots_->acquire();
       widx = pick_worker();
     }
     // Per-attempt deadline: the header carries it, so the executor-side
     // margin guard can prove a late execution would race this client's
     // retry and drop it — the deterministic no-double-execution pact.
-    const Time deadline = engine_.now() + ft.invocation_deadline;
+    const Time deadline = reliable ? engine_.now() + ft.invocation_deadline : 0;
 
-    if (attempt == 0 && ft.hedging) {
-      result = co_await run_hedged(widx, fn_index, slot_idx, payload_bytes, tag, deadline);
-      widx = kNoWorker;  // run_hedged's attempts released/reaped their workers
-    } else {
-      result = co_await invoke_pooled_on(widx, fn_index, *slot_pool_[slot_idx], payload_bytes,
-                                         tag, deadline);
-      record_outcome(workers_[widx].device, result.ok,
-                     result.completed_at - result.submitted_at);
-      if (result.ok) {
-        release_worker(widx);
-        widx = kNoWorker;
-      } else if (result.corrupt && workers_[widx].conn != nullptr &&
-                 workers_[widx].conn->alive()) {
-        // Response mangled in flight: retry on the SAME worker, where
-        // the executor's dedup table replays the stored clean output
-        // instead of re-executing. Keep the worker owned.
-        ++corruptions_detected_;
-      } else {
-        if (result.timed_out) {
-          ++timeouts_;
-          sim::spawn(engine_, reap_worker(widx));
-        } else if (workers_[widx].conn == nullptr || !workers_[widx].conn->alive()) {
-          // Dead connection: permanently out of the rotation.
-        } else {
-          release_worker(widx);
+    if (n == 0 && reliable && ft.hedging) {
+      auto hs = std::make_shared<Hedge>();
+      hs->pending = 1;
+      hs->in_flight.push_back(widx);
+      hs->out = bufs.out;
+      sim::spawn(engine_, hedge_leg(hs, widx, fn_index, bufs, tag, deadline, kNone));
+      sim::spawn(engine_,
+                 hedge_backup(hs, fn_index, bufs, tag, deadline, workers_[widx].device));
+      co_await hs->done.wait();
+      // First response won; cancel every leg still in flight on its
+      // executor manager (fire-and-forget — a cancel that loses the race
+      // costs one wasted execution absorbed by the dedup table, never a
+      // wrong result).
+      for (const std::size_t loser : hs->in_flight) {
+        auto& stream = workers_[loser].mgr_stream;
+        if (stream != nullptr && !stream->closed()) {
+          InvocationCancelMsg msg;
+          msg.client_id = client_id_;
+          msg.invocation_tag = tag;
+          stream->send(encode(msg));
         }
-        widx = kNoWorker;
       }
+      if (hs->result.hedge_won) ++hedge_wins_;
+      result = hs->result;
+      widx = kNone;  // the legs released or reaped their workers
+    } else {
+      result = co_await attempt(widx, fn_index, bufs, tag, deadline);
+      if (!settle(widx, result, /*may_keep=*/true)) widx = kNone;
     }
 
     if (result.ok) {
-      result.attempts = attempt + 1;
+      result.attempts = static_cast<std::uint32_t>(n + 1);
       break;
     }
-    if (attempt < ft.retry_budget) ++retries_;
-    if (result.rejected) {
-      ++rejections_;
-      co_await sim::delay(2_us);
-    }
+    if (reliable && n < ft.retry_budget) ++retries_;
+    if (result.rejected) ++rejections_;
+    // Brief backoff before the next try. Without FT this follows every
+    // failure — a rejection, or a dead connection whose lease was
+    // terminated (self-healed allocations append fresh workers, so the
+    // rotation reaches a live one); with FT a timeout already waited out
+    // its deadline, so only rejections back off.
+    if (!reliable || result.rejected) co_await sim::delay(2_us);
   }
-  if (widx != kNoWorker) release_worker(widx);
+  if (widx != kNone) release_worker(widx);
+  if (slot_idx != kNone) {
+    free_slots_.push_back(slot_idx);
+    slot_sem_->release();
+  }
+  // Client-observed latency includes queueing for a slot and a worker
+  // and every retry, so the submission timestamp is the original one.
+  result.submitted_at = submitted;
   co_return result;
 }
 
-sim::Task<InvocationResult> Invoker::run_hedged(std::size_t widx, std::uint16_t fn_index,
-                                                std::size_t slot_idx, std::size_t payload_bytes,
-                                                std::uint64_t tag, Time deadline) {
-  auto hs = std::make_shared<Hedge>();
-  hs->pending = 1;
-  hs->in_flight.push_back(widx);
-  sim::spawn(engine_,
-             hedge_attempt(hs, widx, fn_index, slot_idx, payload_bytes, tag, deadline, false));
-  sim::spawn(engine_, hedge_backup(hs, fn_index, slot_idx, payload_bytes, tag, deadline,
-                                   workers_[widx].device));
-  co_await hs->done.wait();
-  // First response won; cancel every attempt still in flight on its
-  // executor manager (fire-and-forget — a cancel that loses the race
-  // costs one wasted execution absorbed by the dedup table, never a
-  // wrong result).
-  for (const std::size_t loser : hs->in_flight) {
-    auto& stream = workers_[loser].mgr_stream;
-    if (stream != nullptr && !stream->closed()) {
-      InvocationCancelMsg msg;
-      msg.client_id = client_id_;
-      msg.invocation_tag = tag;
-      stream->send(encode(msg));
-    }
+sim::Task<InvocationResult> Invoker::attempt(std::size_t widx, std::uint16_t fn_index,
+                                             Buffers bufs, std::uint64_t tag, Time deadline) {
+  InvocationResult result;
+  result.submitted_at = engine_.now();
+  if (workers_[widx].conn == nullptr || !workers_[widx].conn->alive()) {
+    result.completed_at = engine_.now();
+    co_return result;  // ok=false: executor is gone (lease terminated?)
   }
-  if (hs->result.hedge_won) ++hedge_wins_;
-  co_return hs->result;
+  // The connection object outlives a reallocation of workers_ (a
+  // self-heal redeploy appends workers while this attempt is in flight).
+  rdmalib::Connection& conn = *workers_[widx].conn;
+  const std::uint32_t invocation_id = next_invocation_++ & 0x7FFFFu;
+
+  // Pack the header straight into the registered input region — no
+  // staging buffer, no allocation: where the executor writes the result,
+  // plus (FT on) the idempotent tag, the per-attempt deadline and an
+  // optional request checksum.
+  auto* frame = reinterpret_cast<std::uint8_t*>(bufs.in.addr);
+  InvocationHeader header;
+  header.result_addr = bufs.out.addr;
+  header.result_rkey = bufs.out.rkey;
+  header.invocation_tag = tag;
+  header.deadline = deadline;
+  header.checksum = tag != 0 && config_.fault_tolerance.checksum
+                        ? payload_checksum(frame + InvocationHeader::kSize,
+                                           bufs.in.length - InvocationHeader::kSize)
+                        : 0;
+  header.pack(frame);
+
+  // Post the receive for the result notification first.
+  (void)conn.post_recv_empty(invocation_id);
+
+  // Header + payload leave as one contiguous span; the fabric forwards
+  // single-SGE non-inline payloads by reference (zero-copy). Inlining is
+  // possible only when header + payload fit the ceiling — the header
+  // bytes are why rFaaS loses inlining earlier than raw RDMA (Fig. 8).
+  const bool inline_ok = bufs.in.length <= fabric_.model().max_inline;
+  auto st = conn.post_write_imm(bufs.in, workers_[widx].remote_buf,
+                                Imm::invocation(fn_index, invocation_id), invocation_id,
+                                inline_ok);
+  if (!st.ok()) {
+    result.completed_at = engine_.now();
+    co_return result;
+  }
+
+  // Drain our own send completion (error => connection died).
+  auto send_wc = polling_client_ ? co_await conn.wait_send_polling()
+                                 : co_await conn.wait_send_blocking();
+  if (send_wc.status != fabric::WcStatus::Success) {
+    result.completed_at = engine_.now();
+    co_return result;
+  }
+
+  fabric::Wc wc;
+  if (deadline != 0) {
+    // Deadline-bounded wait: an executor that crashed or wedged after
+    // the submit surfaces as a timeout instead of blocking forever.
+    std::optional<fabric::Wc> maybe;
+    if (polling_client_) {
+      maybe = co_await conn.wait_recv_polling_until(deadline);
+    } else {
+      maybe = co_await conn.wait_recv_blocking_until(deadline);
+    }
+    if (!maybe.has_value()) {
+      result.timed_out = true;
+      result.completed_at = engine_.now();
+      co_return result;
+    }
+    wc = *maybe;
+  } else if (polling_client_) {
+    wc = co_await conn.wait_recv_polling();
+  } else {
+    wc = co_await conn.wait_recv_blocking();
+  }
+  co_await sim::delay(config_.client_completion);
+  result.completed_at = engine_.now();
+  if (wc.status != fabric::WcStatus::Success || !wc.has_imm) co_return result;
+  const InvocationResponse resp = decode_invocation_response(wc);
+  if (resp.invocation_id != invocation_id) {
+    // With FT on, a reaped worker's stale completion can legitimately
+    // surface here (the abandoned attempt's reply raced the reap).
+    if (tag == 0) {
+      log::warn("invoker", "immediate mismatch: got ", wc.imm, " expected ", invocation_id);
+    } else {
+      log::debug("invoker", "stale immediate: got ", wc.imm, " expected ", invocation_id);
+    }
+    co_return result;
+  }
+  result.rejected = resp.rejected;
+  result.ok = !resp.rejected;
+  result.output_bytes = resp.output_bytes;
+  if (result.ok && resp.checksum12 != 0 &&
+      fold12(payload_checksum(reinterpret_cast<const std::uint8_t*>(bufs.out.addr),
+                              resp.output_bytes)) != resp.checksum12) {
+    // The responder checksummed its output and the landed bytes do not
+    // match: response corrupted in flight. Surfaced for a same-worker
+    // retry — the executor's dedup table replays a clean copy.
+    result.ok = false;
+    result.corrupt = true;
+  }
+  co_return result;
 }
 
-sim::Task<void> Invoker::hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t widx,
-                                       std::uint16_t fn_index, std::size_t slot_idx,
-                                       std::size_t payload_bytes, std::uint64_t tag,
-                                       Time deadline, bool is_backup) {
-  InvocationResult r = co_await invoke_pooled_on(widx, fn_index, *slot_pool_[slot_idx],
-                                                 payload_bytes, tag, deadline);
-  record_outcome(workers_[widx].device, r.ok, r.completed_at - r.submitted_at);
+bool Invoker::settle(std::size_t widx, const InvocationResult& r, bool may_keep) {
+  if (!config_.fault_tolerance.enabled()) {
+    // Every worker rejoins the FIFO rotation, a dead one too: the
+    // redirect budget bounds the attempts, so an invocation against a
+    // dead executor fails fast instead of waiting for a live worker.
+    release_worker(widx);
+    return false;
+  }
+  const WorkerRef& w = workers_[widx];
+  record_outcome(w.device, r.ok, r.completed_at - r.submitted_at);
   if (r.timed_out) {
+    // The worker may still get a late completion; reap it off-path
+    // instead of returning a poisoned connection to the rotation.
     ++timeouts_;
     sim::spawn(engine_, reap_worker(widx));
-  } else if (workers_[widx].conn == nullptr || !workers_[widx].conn->alive()) {
-    // Dead connection: permanently out of the rotation.
+  } else if (w.conn == nullptr || !w.conn->alive()) {
+    // Dead connection: out of the rotation for good.
+  } else if (may_keep && r.corrupt) {
+    // Response mangled in flight: retry on the SAME worker, where the
+    // executor's dedup table replays the stored clean output instead of
+    // re-executing.
+    ++corruptions_detected_;
+    return true;
   } else {
     release_worker(widx);
   }
-  if (is_backup) {
-    // Return the staging slot the backup borrowed from the pool.
-    free_slots_.push_back(slot_idx);
+  return false;
+}
+
+sim::Task<void> Invoker::hedge_leg(std::shared_ptr<Hedge> hs, std::size_t widx,
+                                   std::uint16_t fn_index, Buffers bufs, std::uint64_t tag,
+                                   Time deadline, std::size_t backup_slot) {
+  const InvocationResult r = co_await attempt(widx, fn_index, bufs, tag, deadline);
+  (void)settle(widx, r, /*may_keep=*/false);
+  if (backup_slot != kNone) {
+    // A winning backup's output landed in its borrowed slot: move it to
+    // where the caller reads the result.
+    if (!hs->resolved && r.ok) {
+      std::memcpy(reinterpret_cast<std::uint8_t*>(hs->out.addr),
+                  reinterpret_cast<const std::uint8_t*>(bufs.out.addr),
+                  std::min<std::size_t>(r.output_bytes, hs->out.length));
+    }
+    free_slots_.push_back(backup_slot);
     slot_sem_->release();
   }
   std::erase(hs->in_flight, widx);
@@ -1362,14 +1307,13 @@ sim::Task<void> Invoker::hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t wi
   if (!hs->resolved && (r.ok || hs->pending == 0)) {
     hs->resolved = true;
     hs->result = r;
-    hs->result.hedge_won = is_backup && r.ok;
+    hs->result.hedge_won = backup_slot != kNone && r.ok;
     hs->done.pulse();
   }
 }
 
 sim::Task<void> Invoker::hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t fn_index,
-                                      std::size_t primary_slot_idx, std::size_t payload_bytes,
-                                      std::uint64_t tag, Time deadline,
+                                      Buffers bufs, std::uint64_t tag, Time deadline,
                                       fabric::DeviceId primary_device) {
   // Launch the backup only once the primary has outlived the expected
   // completion time (p99-ish: 4x the healthy latency EWMA) — hedges are
@@ -1383,177 +1327,30 @@ sim::Task<void> Invoker::hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t f
   if (hs->resolved) co_return;               // primary answered in time
   if (free_workers_.empty()) co_return;      // no spare worker: skip the hedge
   if (!slot_sem_->try_acquire()) co_return;  // no spare slot: skip the hedge
-  const std::size_t slot2 = free_slots_.front();
+  const std::size_t slot_idx = free_slots_.front();
   free_slots_.pop_front();
-  // Stage the request into the backup's own slot — the primary's slot
-  // memory belongs to the write already in flight.
-  std::memcpy(slot_pool_[slot2]->in.data(), slot_pool_[primary_slot_idx]->in.data(),
-              payload_bytes);
-  if (!slots_->try_acquire()) {  // workers vanished since the check
-    free_slots_.push_back(slot2);
+  InvocationSlot& slot = *slot_pool_[slot_idx];
+  const std::size_t payload_bytes = bufs.in.length - InvocationHeader::kSize;
+  // The request may not fit the slot (caller buffers), or the workers
+  // vanished since the check: return the slot and skip the hedge.
+  if (payload_bytes > slot.in.payload_bytes() || !slots_->try_acquire()) {
+    free_slots_.push_back(slot_idx);
     slot_sem_->release();
     co_return;
   }
-  const std::size_t widx2 = pick_worker_avoiding(primary_device);
+  // Stage the request into the backup's own slot — the primary's input
+  // region belongs to the write already in flight.
+  std::memcpy(slot.in.data(),
+              reinterpret_cast<const std::uint8_t*>(bufs.in.addr) + InvocationHeader::kSize,
+              payload_bytes);
+  const std::size_t widx = pick_worker_avoiding(primary_device);
   ++hedges_launched_;
   ++hs->pending;
-  hs->in_flight.push_back(widx2);
-  sim::spawn(engine_,
-             hedge_attempt(hs, widx2, fn_index, slot2, payload_bytes, tag, deadline, true));
-}
-
-sim::Future<InvocationResult> Invoker::submit_raw(std::uint16_t fn_index,
-                                                  std::uint8_t* header_ptr, fabric::Sge sge,
-                                                  std::uint32_t in_lkey,
-                                                  rdmalib::RemoteBuffer out) {
-  (void)in_lkey;
-  sim::Promise<InvocationResult> promise;
-  auto future = promise.get_future();
-  sim::spawn(engine_, run_submission(fn_index, header_ptr, sge, out, std::move(promise)));
-  return future;
-}
-
-sim::Task<void> Invoker::run_submission(std::uint16_t fn_index, std::uint8_t* header_ptr,
-                                        fabric::Sge sge, rdmalib::RemoteBuffer out,
-                                        sim::Promise<InvocationResult> promise) {
-  const Time submitted = engine_.now();
-  InvocationResult result;
-
-  // With fault tolerance on, every attempt carries an idempotent tag
-  // (executor-side dedup) and a per-attempt deadline — the submit path
-  // gets deadlines and retries but no hedging (it has no pooled backup
-  // slot to stage a second copy in).
-  const FaultToleranceConfig& ft = config_.fault_tolerance;
-  const std::uint64_t tag = ft.enabled() ? mint_tag() : 0;
-
-  // Redirect loop: a rejected warm invocation is re-sent to another
-  // executor; RDMA-speed rejections make this cheap (Sec. III-D).
-  const std::size_t redirect_attempts = workers_.empty() ? 1 : 2 * workers_.size();
-  const std::size_t max_attempts =
-      ft.enabled() ? std::max<std::size_t>(redirect_attempts, 1 + ft.retry_budget)
-                   : redirect_attempts;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    co_await slots_->acquire();
-    std::size_t idx = ft.enabled() ? pick_worker() : free_workers_.front();
-    if (!ft.enabled()) free_workers_.pop_front();
-    const Time deadline = ft.enabled() ? engine_.now() + ft.invocation_deadline : 0;
-
-    result = co_await invoke_on(idx, fn_index, header_ptr, sge, out, tag, deadline);
-
-    if (ft.enabled()) {
-      record_outcome(workers_[idx].device, result.ok,
-                     result.completed_at - result.submitted_at);
-      if (result.timed_out) {
-        // The worker may still get a late completion; reap it off-path
-        // instead of returning a poisoned connection to the rotation.
-        ++timeouts_;
-        sim::spawn(engine_, reap_worker(idx));
-      } else if (workers_[idx].conn == nullptr || !workers_[idx].conn->alive()) {
-        // Dead connection: drop the worker from the rotation for good.
-      } else {
-        release_worker(idx);
-      }
-    } else {
-      free_workers_.push_back(idx);
-      slots_->release();
-    }
-
-    if (result.ok) {
-      result.attempts = static_cast<std::uint32_t>(attempt + 1);
-      break;
-    }
-    if (ft.enabled()) ++retries_;
-    if (result.rejected) ++rejections_;
-    // Rejected — or the worker's connection is dead (its lease was
-    // terminated and the sandbox reclaimed): brief backoff, then retry
-    // on the (FIFO) next worker. Self-healed allocations appended fresh
-    // workers, so the rotation reaches a live one.
-    co_await sim::delay(2_us);
-  }
-  // Client-observed latency includes queueing for a free worker and any
-  // redirects, so the submission timestamp is the original one.
-  result.submitted_at = submitted;
-  promise.set_value(result);
-}
-
-sim::Task<InvocationResult> Invoker::invoke_on(std::size_t worker, std::uint16_t fn_index,
-                                               std::uint8_t* header_ptr, fabric::Sge sge,
-                                               rdmalib::RemoteBuffer out, std::uint64_t tag,
-                                               Time deadline) {
-  InvocationResult result;
-  result.submitted_at = engine_.now();
-  WorkerRef& w = workers_[worker];
-  if (w.conn == nullptr || !w.conn->alive()) {
-    result.completed_at = engine_.now();
-    co_return result;  // ok=false: executor is gone (lease terminated?)
-  }
-
-  const std::uint32_t invocation_id = next_invocation_++ & 0x7FFFFu;
-
-  // Fill the 32-byte header: where the executor writes the result, plus
-  // the idempotent tag and per-attempt deadline when FT is on.
-  InvocationHeader header;
-  header.result_addr = out.addr;
-  header.result_rkey = out.rkey;
-  header.invocation_tag = tag;
-  header.deadline = deadline;
-  header.pack(header_ptr);
-
-  // Post the receive for the result notification first.
-  (void)w.conn->post_recv_empty(invocation_id);
-
-  // Write header + payload into the worker's buffer. Inlining is possible
-  // only when header+payload fit the ceiling — the 12 extra bytes are why
-  // rFaaS loses inlining earlier than raw RDMA (Fig. 8).
-  rdmalib::RemoteBuffer dst = w.remote_buf;
-  const bool inline_ok = sge.length <= fabric_.model().max_inline;
-  auto st = w.conn->post_write_imm(sge, dst, Imm::invocation(fn_index, invocation_id),
-                                   invocation_id, inline_ok);
-  if (!st.ok()) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  // Drain our own send completion (error => connection died).
-  auto send_wc = polling_client_ ? co_await w.conn->wait_send_polling()
-                                 : co_await w.conn->wait_send_blocking();
-  if (send_wc.status != fabric::WcStatus::Success) {
-    result.completed_at = engine_.now();
-    co_return result;
-  }
-
-  // Await the result write into our memory (deadline-bounded when the
-  // fault-tolerant path supplied one).
-  fabric::Wc wc;
-  if (deadline != 0) {
-    std::optional<fabric::Wc> maybe;
-    if (polling_client_) {
-      maybe = co_await w.conn->wait_recv_polling_until(deadline);
-    } else {
-      maybe = co_await w.conn->wait_recv_blocking_until(deadline);
-    }
-    if (!maybe.has_value()) {
-      result.timed_out = true;
-      result.completed_at = engine_.now();
-      co_return result;
-    }
-    wc = *maybe;
-  } else if (polling_client_) {
-    wc = co_await w.conn->wait_recv_polling();
-  } else {
-    wc = co_await w.conn->wait_recv_blocking();
-  }
-  co_await sim::delay(config_.client_completion);
-  result.completed_at = engine_.now();
-  if (wc.status != fabric::WcStatus::Success || !wc.has_imm) co_return result;
-  if (Imm::result_id(wc.imm) != invocation_id) {
-    log::warn("invoker", "immediate mismatch: got ", wc.imm, " expected ", invocation_id);
-    co_return result;
-  }
-  result.rejected = Imm::rejected(wc.imm);
-  result.ok = !result.rejected;
-  result.output_bytes = wc.byte_len;
-  co_return result;
+  hs->in_flight.push_back(widx);
+  sim::spawn(engine_, hedge_leg(hs, widx, fn_index,
+                                Buffers{slot.in.sge_with_header(payload_bytes),
+                                        slot.out.remote_data()},
+                                tag, deadline, slot_idx));
 }
 
 sim::Task<void> Invoker::deallocate() {

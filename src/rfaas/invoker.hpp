@@ -75,10 +75,10 @@ struct LeaseSetOptions {
 /// renews each via ExtendLease ahead of its expiry, and reports renewals,
 /// renewal failures and expiries through callbacks and counters.
 ///
-/// The renewal actor shares the resource-manager stream with whoever
-/// acquired the leases; all request/response pairs on that stream must be
-/// serialized through the `request_mutex` passed to bind() (replies carry
-/// no correlation id — the stream is strictly request-response).
+/// Renewals, heals and releases go through the resource-manager Session
+/// passed to bind(), whose request ids correlate each reply with its
+/// request, so the renewal actor shares it safely with whoever acquired
+/// the leases.
 ///
 /// Lifetime: the renewal actor only references the internal shared state,
 /// so destroying the LeaseSet (or the engine draining detached actors)
@@ -107,25 +107,18 @@ class LeaseSet {
   LeaseSet(const LeaseSet&) = delete;
   LeaseSet& operator=(const LeaseSet&) = delete;
 
-  /// Attaches the resource-manager stream the renewals go over and the
-  /// mutex serializing request/response pairs on it (shared so the
-  /// renewal actor can outlive the acquiring scope).
-  void bind(std::shared_ptr<net::TcpStream> rm_stream, std::shared_ptr<sim::Mutex> request_mutex);
-
-  /// Hardened alternative: renewals, heals and releases go through the
-  /// retransmitting session (idempotent request ids, adaptive timeouts)
-  /// instead of bare send/recv — the path that survives lossy links.
+  /// Attaches the resource-manager session the renewals, heals and
+  /// releases go over: retransmitting, with idempotent request ids and
+  /// adaptive timeouts, so they survive lossy links. Shared so the
+  /// renewal actor can outlive the acquiring scope.
   void bind(std::shared_ptr<Session> rm_session);
 
   /// Opens the termination-push channel: sends SubscribeEvents for
-  /// `client_id` on `notify_stream` (a dedicated connection to the
+  /// `client_id` on `notify_session` (a dedicated connection to the
   /// resource manager — pushes never share the request stream) and
-  /// spawns a listener reacting to LeaseTerminated. Enables self-healing
+  /// spawns a listener reacting to LeaseTerminated; the session's pump
+  /// filters duplicated pushes (by seq) first. Enables self-healing
   /// re-allocation when the options ask for it.
-  void subscribe(std::shared_ptr<net::TcpStream> notify_stream, std::uint32_t client_id);
-
-  /// Hardened push channel: the session's pump filters duplicated
-  /// eviction pushes (by seq) before they reach the termination handler.
   void subscribe(std::shared_ptr<Session> notify_session, std::uint32_t client_id);
 
   /// Failover lease re-validation: asks the manager whether each tracked
@@ -230,9 +223,6 @@ class LeaseSet {
   struct State {
     sim::Engine* engine = nullptr;
     LeaseSetOptions options;
-    std::shared_ptr<net::TcpStream> stream;
-    std::shared_ptr<sim::Mutex> request_mutex;
-    /// Set by the Session bind(); takes precedence over the bare stream.
     std::shared_ptr<Session> session;
     std::map<std::uint64_t, Tracked> leases;
     /// Wakes the sleeping renewal actor early: set by track() (a new
@@ -290,19 +280,14 @@ class LeaseSet {
   static sim::Task<void> renew_loop(std::shared_ptr<State> state, std::uint64_t epoch);
   static sim::Task<void> wake_at(std::shared_ptr<State> state, Duration after);
   static sim::Task<void> notify_loop(std::shared_ptr<State> state,
-                                     std::shared_ptr<net::TcpStream> stream);
-  static sim::Task<void> notify_loop_session(std::shared_ptr<State> state,
-                                             std::shared_ptr<Session> session);
+                                     std::shared_ptr<Session> session);
   /// Reacts to one termination push (single or batched form).
   static void handle_notification(const std::shared_ptr<State>& state, const Bytes& raw);
-  /// One serialized request/reply exchange with the manager: through the
-  /// retransmitting session when bound, else bare send/recv under the
-  /// legacy mutex. `make` encodes the request with the id it is given
-  /// (0 in legacy mode).
+  /// One request/reply exchange with the manager through the session;
+  /// `make` encodes the request with the id it is given.
   static sim::Task<Result<Bytes>> exchange(std::shared_ptr<State> state,
                                            std::function<Bytes(std::uint64_t)> make);
-  /// Hands a lease back to the manager: a retransmitted, acked call in
-  /// session mode; fire-and-forget in legacy mode.
+  /// Hands a lease back to the manager: a retransmitted, acked call.
   static void send_release(const std::shared_ptr<State>& state, ReleaseResourcesMsg rel);
   static sim::Task<void> release_via_session(std::shared_ptr<Session> session,
                                              ReleaseResourcesMsg rel);
@@ -433,8 +418,7 @@ class Invoker {
   template <typename TIn, typename TOut>
   sim::Future<InvocationResult> submit(std::uint16_t fn_index, rdmalib::Buffer<TIn>& in,
                                        std::size_t payload_bytes, rdmalib::Buffer<TOut>& out) {
-    return submit_raw(fn_index, in.raw(), in.sge_with_header(payload_bytes),
-                      in.mr() != nullptr ? in.mr()->lkey() : 0, out.remote_data());
+    return submit_raw(fn_index, Buffers{in.sge_with_header(payload_bytes), out.remote_data()});
   }
 
   /// Convenience: submit and await completion.
@@ -460,7 +444,9 @@ class Invoker {
   /// result notification without staging. Waits for a free slot when all
   /// are in flight; redirects rejections like submit().
   sim::Task<InvocationResult> invoke_pooled(std::uint16_t fn_index,
-                                            std::span<const std::uint8_t> payload);
+                                            std::span<const std::uint8_t> payload) {
+    return run_invocation(fn_index, Buffers{}, payload);
+  }
 
   /// Releases all sandboxes and leases ("Remote resources are allocated
   /// and deallocated as needed").
@@ -507,45 +493,60 @@ class Invoker {
     std::shared_ptr<net::TcpStream> mgr_stream;
   };
 
-  /// Shared fate of one (possibly hedged) fault-tolerant invocation:
-  /// every attempt reports in; the first success resolves, and losers
-  /// are cancelled on their executor managers.
+  /// Where one invocation's bytes live: `in` is the registered 32 B
+  /// header followed by the payload, written to the worker as one span;
+  /// `out` is the registered result region the executor writes through
+  /// (its address is also the client's local view of the result).
+  /// Default-constructed (in.addr == 0) = stage into a pooled slot.
+  struct Buffers {
+    fabric::Sge in{};
+    rdmalib::RemoteBuffer out{};
+  };
+
+  /// Shared fate of one hedged invocation: both legs report in; the
+  /// first success resolves, and losers are cancelled on their executor
+  /// managers.
   struct Hedge {
     sim::Event done;
     bool resolved = false;
     unsigned pending = 0;
     InvocationResult result;
-    std::vector<std::size_t> in_flight;  ///< workers of unresolved attempts
+    std::vector<std::size_t> in_flight;  ///< workers of unresolved legs
+    rdmalib::RemoteBuffer out;           ///< the request's result region
   };
 
-  sim::Future<InvocationResult> submit_raw(std::uint16_t fn_index, std::uint8_t* header_ptr,
-                                           fabric::Sge sge, std::uint32_t in_lkey,
-                                           rdmalib::RemoteBuffer out);
-  sim::Task<void> run_submission(std::uint16_t fn_index, std::uint8_t* header_ptr,
-                                 fabric::Sge sge, rdmalib::RemoteBuffer out,
-                                 sim::Promise<InvocationResult> promise);
-  sim::Task<InvocationResult> invoke_on(std::size_t worker, std::uint16_t fn_index,
-                                        std::uint8_t* header_ptr, fabric::Sge sge,
-                                        rdmalib::RemoteBuffer out, std::uint64_t tag = 0,
-                                        Time deadline = 0);
-  sim::Task<InvocationResult> invoke_pooled_on(std::size_t worker, std::uint16_t fn_index,
-                                               InvocationSlot& slot, std::size_t payload_bytes,
-                                               std::uint64_t tag = 0, Time deadline = 0);
-  /// Fault-tolerant pooled invocation: per-attempt deadlines, budgeted
-  /// retries rotating across healthy workers, same-worker dedup-replay
-  /// retry on corruption, optional hedging on the first attempt.
-  sim::Task<InvocationResult> invoke_pooled_reliable(std::uint16_t fn_index,
-                                                     std::size_t slot_idx,
-                                                     std::size_t payload_bytes);
-  sim::Task<InvocationResult> run_hedged(std::size_t widx, std::uint16_t fn_index,
-                                         std::size_t slot_idx, std::size_t payload_bytes,
-                                         std::uint64_t tag, Time deadline);
-  sim::Task<void> hedge_attempt(std::shared_ptr<Hedge> hs, std::size_t widx,
-                                std::uint16_t fn_index, std::size_t slot_idx,
-                                std::size_t payload_bytes, std::uint64_t tag, Time deadline,
-                                bool is_backup);
-  sim::Task<void> hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t fn_index,
-                               std::size_t primary_slot_idx, std::size_t payload_bytes,
+  sim::Future<InvocationResult> submit_raw(std::uint16_t fn_index, Buffers bufs);
+  static sim::Task<void> fulfil(sim::Task<InvocationResult> task,
+                                sim::Promise<InvocationResult> promise);
+  /// The one invocation pipeline behind submit() and invoke_pooled():
+  /// picks workers, runs attempts and redirects/retries them. Fault
+  /// tolerance is a policy over it — off: tag 0, no deadline, up to
+  /// 2 x workers FIFO redirects with a 2 us backoff; on: an idempotent
+  /// tag, per-attempt deadlines, 1 + retry_budget attempts on healthy
+  /// workers, same-worker retry on corruption and a hedged first
+  /// attempt. Empty `bufs` stage `payload` into a pooled slot first.
+  sim::Task<InvocationResult> run_invocation(std::uint16_t fn_index, Buffers bufs,
+                                             std::span<const std::uint8_t> payload);
+  /// One attempt on worker `widx`: post the receive, write header +
+  /// payload, await the send and then the result (deadline-bounded when
+  /// nonzero), decode and verify the response checksum.
+  sim::Task<InvocationResult> attempt(std::size_t widx, std::uint16_t fn_index, Buffers bufs,
+                                      std::uint64_t tag, Time deadline);
+  /// Books a finished attempt and recycles its worker: FT off, back into
+  /// the rotation; FT on, health + EWMA first, then reaped after a
+  /// timeout, dropped when dead, kept (returns true) for a same-worker
+  /// retry after corruption when `may_keep`, else released.
+  bool settle(std::size_t widx, const InvocationResult& r, bool may_keep);
+  /// One detached leg of a hedged invocation; a backup leg returns its
+  /// borrowed pool slot and, when it wins, copies its output into the
+  /// request's result region.
+  sim::Task<void> hedge_leg(std::shared_ptr<Hedge> hs, std::size_t widx, std::uint16_t fn_index,
+                            Buffers bufs, std::uint64_t tag, Time deadline,
+                            std::size_t backup_slot);
+  /// Launches the backup leg once the primary outlived the hedge delay,
+  /// on a pool slot staged from the request and a worker off the
+  /// primary's device; skipped when no slot or worker is free.
+  sim::Task<void> hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t fn_index, Buffers bufs,
                                std::uint64_t tag, Time deadline,
                                fabric::DeviceId primary_device);
   /// Globally unique idempotent invocation id: (client epoch << 32) | seq.
@@ -590,9 +591,6 @@ class Invoker {
 
   fabric::ProtectionDomain* pd_ = nullptr;
   std::shared_ptr<net::TcpStream> rm_stream_;
-  /// Serializes request/response pairs on rm_stream_ between allocate()
-  /// and the LeaseSet's renewal/re-allocation actors.
-  std::shared_ptr<sim::Mutex> rm_mutex_;
   /// Hardened request/reply session over rm_stream_ (owns all recv on
   /// it); every lease-critical exchange of this invoker goes through it.
   std::shared_ptr<Session> rm_session_;

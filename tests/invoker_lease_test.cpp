@@ -22,19 +22,28 @@ cluster::ScenarioSpec small_fleet(unsigned executors = 1, unsigned cores = 4,
   return spec;
 }
 
+/// Opens a control session to the resource manager from client host 0.
+sim::Task<std::shared_ptr<Session>> open_session(cluster::Harness& h) {
+  auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
+                                       h.rm().port());
+  EXPECT_TRUE(conn.ok());
+  if (!conn.ok()) co_return nullptr;
+  co_return std::make_shared<Session>(h.engine(), conn.value());
+}
+
 /// Acquires one lease of `workers` workers with the given timeout over
-/// an open control stream to the resource manager.
-sim::Task<Result<LeaseGrantMsg>> acquire_one(std::shared_ptr<net::TcpStream> stream,
-                                             std::uint32_t workers, Duration timeout) {
+/// an open control session to the resource manager.
+sim::Task<Result<LeaseGrantMsg>> acquire_one(Session& session, std::uint32_t workers,
+                                             Duration timeout) {
   LeaseRequestMsg req;
   req.client_id = 1;
   req.workers = workers;
   req.memory_bytes = 64ull << 20;
   req.timeout = timeout;
-  stream->send(encode(req));
-  auto raw = co_await stream->recv();
-  if (!raw.has_value()) co_return Error::make(1, "stream closed");
-  co_return decode_lease_grant(*raw);
+  req.request_id = session.next_request_id();
+  auto raw = co_await session.call(encode(req), req.request_id);
+  if (!raw.ok()) co_return raw.error();
+  co_return decode_lease_grant(raw.value());
 }
 
 // --------------------------------------------------------------------------
@@ -45,7 +54,6 @@ TEST(LeaseSet, RenewsAheadOfExpiryAndSurvivesTheSweep) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   opts.extension = 2_s;
@@ -54,16 +62,13 @@ TEST(LeaseSet, RenewsAheadOfExpiryAndSurvivesTheSweep) {
   leases.on_renewed([&](std::uint64_t id, Time) { renewed_ids.push_back(id); });
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    auto grant = co_await acquire_one(stream, 2, 2_s);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    auto grant = co_await acquire_one(*session, 2, 2_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
 
-    leases.bind(stream, mutex);
+    leases.bind(session);
     leases.track(grant.value().lease_id, grant.value().expires_at, 2_s);
     leases.start();
   };
@@ -90,7 +95,6 @@ TEST(LeaseSet, UnknownLeaseSurfacesFailureAndExpiry) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   opts.extension = 2_s;
@@ -102,11 +106,9 @@ TEST(LeaseSet, UnknownLeaseSurfacesFailureAndExpiry) {
   leases.on_expired([&](std::uint64_t id) { expired_ids.push_back(id); });
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    leases.bind(conn.value(), mutex);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
     // Never granted: the manager answers every renewal with LeaseError.
     leases.track(/*lease_id=*/4242, h.engine().now() + 2_s, 2_s);
     leases.start();
@@ -125,21 +127,17 @@ TEST(LeaseSet, LaterShortLeaseInterruptsALongSleep) {
   cluster::Harness h(small_fleet(/*executors=*/2));
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 1_s;
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    leases.bind(stream, mutex);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
 
     // A long lease first: the renewal actor goes to sleep until ~t+299s.
-    auto long_grant = co_await acquire_one(stream, 1, 300_s);
+    auto long_grant = co_await acquire_one(*session, 1, 300_s);
     EXPECT_TRUE(long_grant.ok());
     if (!long_grant.ok()) co_return;
     leases.track(long_grant.value().lease_id, long_grant.value().expires_at, 300_s);
@@ -148,7 +146,7 @@ TEST(LeaseSet, LaterShortLeaseInterruptsALongSleep) {
 
     // A short lease tracked mid-sleep must interrupt that sleep: its
     // renewal window (due ~t+3s) is far earlier than the sleep target.
-    auto short_grant = co_await acquire_one(stream, 1, 4_s);
+    auto short_grant = co_await acquire_one(*session, 1, 4_s);
     EXPECT_TRUE(short_grant.ok());
     if (!short_grant.ok()) co_return;
     leases.track(short_grant.value().lease_id, short_grant.value().expires_at, 4_s);
@@ -166,20 +164,16 @@ TEST(LeaseSet, StopStartCycleLeavesASingleRenewalActor) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   opts.extension = 2_s;
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    leases.bind(stream, mutex);
-    auto grant = co_await acquire_one(stream, 1, 2_s);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    leases.bind(session);
+    auto grant = co_await acquire_one(*session, 1, 2_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     leases.track(grant.value().lease_id, grant.value().expires_at, 2_s);
@@ -208,21 +202,17 @@ TEST(LeaseSet, UntrackedLeaseIsNeverRenewed) {
   cluster::Harness h(small_fleet());
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.renew_margin = 500_ms;
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    EXPECT_TRUE(conn.ok());
-    if (!conn.ok()) co_return;
-    auto stream = conn.value();
-    auto grant = co_await acquire_one(stream, 1, 2_s);
+    auto session = co_await open_session(h);
+    if (session == nullptr) co_return;
+    auto grant = co_await acquire_one(*session, 1, 2_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
-    leases.bind(stream, mutex);
+    leases.bind(session);
     leases.track(grant.value().lease_id, grant.value().expires_at, 2_s);
     leases.start();
     EXPECT_TRUE(leases.untrack(grant.value().lease_id));
@@ -570,7 +560,6 @@ TEST(SelfHeal, PartialReplacementReRequestsTheRemainder) {
   cluster::Harness h(spec);
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.self_heal = true;
   opts.realloc_budget = 4;
@@ -585,16 +574,13 @@ TEST(SelfHeal, PartialReplacementReRequestsTheRemainder) {
 
   std::uint64_t origin = 0;
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    auto notify = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                           h.rm().port());
-    EXPECT_TRUE(conn.ok() && notify.ok());
-    if (!conn.ok() || !notify.ok()) co_return;
-    leases.bind(conn.value(), mutex);
-    leases.subscribe(notify.value(), /*client_id=*/1);
+    auto session = co_await open_session(h);
+    auto notify = co_await open_session(h);
+    if (session == nullptr || notify == nullptr) co_return;
+    leases.bind(session);
+    leases.subscribe(notify, /*client_id=*/1);
 
-    auto grant = co_await acquire_one(conn.value(), /*workers=*/4, /*timeout=*/300_s);
+    auto grant = co_await acquire_one(*session, /*workers=*/4, /*timeout=*/300_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     EXPECT_EQ(grant.value().workers, 4u);  // landed whole on the 4-core host
@@ -631,7 +617,8 @@ TEST(SelfHeal, PartialReplacementReRequestsTheRemainder) {
     rel.lease_id = primary;
     rel.workers = replacements[0].workers;
     rel.memory_bytes = (64ull << 20) * replacements[0].workers;
-    conn.value()->send(encode(rel));
+    rel.request_id = session->next_request_id();
+    (void)co_await session->call(encode(rel), rel.request_id);
     co_await sim::delay(100_ms);
     EXPECT_EQ(h.rm().active_leases(), 0u);  // nothing leaked
     EXPECT_EQ(h.rm().free_workers_total(), 4u);  // both survivors whole again
@@ -652,7 +639,6 @@ TEST(SelfHeal, PartialHealGivesUpCleanlyWhenTheBudgetRunsOut) {
   cluster::Harness h(spec);
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.self_heal = true;
   opts.realloc_budget = 2;
@@ -660,16 +646,13 @@ TEST(SelfHeal, PartialHealGivesUpCleanlyWhenTheBudgetRunsOut) {
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    auto notify = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                           h.rm().port());
-    EXPECT_TRUE(conn.ok() && notify.ok());
-    if (!conn.ok() || !notify.ok()) co_return;
-    leases.bind(conn.value(), mutex);
-    leases.subscribe(notify.value(), /*client_id=*/1);
+    auto session = co_await open_session(h);
+    auto notify = co_await open_session(h);
+    if (session == nullptr || notify == nullptr) co_return;
+    leases.bind(session);
+    leases.subscribe(notify, /*client_id=*/1);
 
-    auto grant = co_await acquire_one(conn.value(), /*workers=*/4, /*timeout=*/300_s);
+    auto grant = co_await acquire_one(*session, /*workers=*/4, /*timeout=*/300_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     EXPECT_EQ(grant.value().workers, 4u);
@@ -715,7 +698,6 @@ HealBackoffProbe run_heal_against_admission(bool honor_retry_after) {
   cluster::Harness h(spec);
   h.start();
 
-  auto mutex = std::make_shared<sim::Mutex>();
   LeaseSetOptions opts;
   opts.self_heal = true;
   opts.realloc_budget = 4;
@@ -725,16 +707,13 @@ HealBackoffProbe run_heal_against_admission(bool honor_retry_after) {
   LeaseSet leases(h.engine(), opts);
 
   auto scenario = [&]() -> sim::Task<void> {
-    auto conn = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                         h.rm().port());
-    auto notify = co_await h.tcp().connect(h.client_device(0).id(), h.rm().device().id(),
-                                           h.rm().port());
-    EXPECT_TRUE(conn.ok() && notify.ok());
-    if (!conn.ok() || !notify.ok()) co_return;
-    leases.bind(conn.value(), mutex);
-    leases.subscribe(notify.value(), /*client_id=*/1);
+    auto session = co_await open_session(h);
+    auto notify = co_await open_session(h);
+    if (session == nullptr || notify == nullptr) co_return;
+    leases.bind(session);
+    leases.subscribe(notify, /*client_id=*/1);
 
-    auto grant = co_await acquire_one(conn.value(), /*workers=*/4, /*timeout=*/300_s);
+    auto grant = co_await acquire_one(*session, /*workers=*/4, /*timeout=*/300_s);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
     leases.track(grant.value().lease_id, grant.value().expires_at, 300_s, 4, 64ull << 20);

@@ -129,6 +129,33 @@ TEST_F(NetTest, MessagesStayOrdered) {
   EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 3, 4}));
 }
 
+TEST_F(NetTest, InFlightMessageOutlivesItsSender) {
+  // The receiver closes while the server's reply is in flight, and the
+  // server's stream loses its last reference with it (as a manager's
+  // per-stream handler exits on peer close). The in-flight message must
+  // not touch its freed sender: it still crosses the wire.
+  auto& listener = tcp.listen(devB->id(), 80);
+  const std::uint64_t wire_before = fab.net().total_bytes();
+  std::weak_ptr<TcpStream> sender;
+  bool freed_in_flight = false;
+  auto server = [&]() -> sim::Task<void> {
+    auto stream = co_await listener.accept();
+    sender = stream;
+    stream->send(Bytes(256));
+  };
+  auto client = [&]() -> sim::Task<void> {
+    auto res = co_await tcp.connect(devA->id(), devB->id(), 80);
+    co_await sim::delay(1);  // the reply is now in the sender's stack
+    res.value()->close();
+    freed_in_flight = sender.expired();
+  };
+  sim::spawn(eng, server());
+  sim::spawn(eng, client());
+  eng.run();
+  EXPECT_TRUE(freed_in_flight);
+  EXPECT_EQ(fab.net().total_bytes(), wire_before + 256);
+}
+
 TEST(Http, RequestRoundTrip) {
   HttpRequest req;
   req.method = "POST";

@@ -3,7 +3,7 @@
 // crash detection, billing.
 #include <gtest/gtest.h>
 
-#include "rfaas/platform.hpp"
+#include "cluster/harness.hpp"
 
 namespace rfs::rfaas {
 namespace {
@@ -154,7 +154,7 @@ TEST(Billing, TenantsAreIsolated) {
 
 /// Drives a client task and runs the engine for `horizon` of virtual time.
 template <typename MakeTask>
-void drive(Platform& p, Duration horizon, MakeTask&& make_task) {
+void drive(cluster::Harness& p, Duration horizon, MakeTask&& make_task) {
   bool finished = false;
   auto wrapper = [](bool* done, sim::Task<void> inner) -> sim::Task<void> {
     co_await std::move(inner);
@@ -165,17 +165,14 @@ void drive(Platform& p, Duration horizon, MakeTask&& make_task) {
   ASSERT_TRUE(finished) << "client task did not finish within the horizon";
 }
 
-PlatformOptions small_platform() {
-  PlatformOptions opts;
-  opts.spot_executors = 2;
-  opts.cores_per_executor = 4;
-  opts.memory_per_executor = 8ull << 30;
-  return opts;
+cluster::ScenarioSpec small_platform() {
+  return cluster::ScenarioSpec::uniform(/*executors=*/2, /*cores=*/4,
+                                        /*memory_bytes=*/8ull << 30);
 }
 
 TEST(EndToEnd, HotEchoInvocationMovesBytesAndMatchesLatency) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -207,7 +204,7 @@ TEST(EndToEnd, HotEchoInvocationMovesBytesAndMatchesLatency) {
 
 TEST(EndToEnd, WarmInvocationPaysWakeupAndResourceCheck) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -234,7 +231,7 @@ TEST(EndToEnd, WarmInvocationPaysWakeupAndResourceCheck) {
 
 TEST(EndToEnd, DockerAddsVirtualizationOverhead) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -269,7 +266,7 @@ TEST(EndToEnd, DockerAddsVirtualizationOverhead) {
 
 TEST(EndToEnd, ColdStartBreakdownBareVsDocker) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -301,7 +298,7 @@ TEST(EndToEnd, ColdStartBreakdownBareVsDocker) {
 
 TEST(EndToEnd, ParallelWorkersServeConcurrentInvocations) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -346,7 +343,7 @@ TEST(EndToEnd, ParallelWorkersServeConcurrentInvocations) {
 
 TEST(EndToEnd, LeasesSpanMultipleExecutorsWhenOneIsTooSmall) {
   auto opts = small_platform();  // 2 executors x 4 cores
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -366,7 +363,7 @@ TEST(EndToEnd, LeasesSpanMultipleExecutorsWhenOneIsTooSmall) {
 
 TEST(EndToEnd, LeaseDeniedWhenNoCapacity) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -385,7 +382,7 @@ TEST(EndToEnd, LeaseDeniedWhenNoCapacity) {
 TEST(EndToEnd, AdaptivePolicySwitchesWarmToHotAndBack) {
   auto opts = small_platform();
   opts.config.hot_polling_timeout = 2_ms;
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -415,10 +412,10 @@ TEST(EndToEnd, AdaptivePolicySwitchesWarmToHotAndBack) {
 }
 
 TEST(EndToEnd, WarmRejectionRedirectsToAnotherWorker) {
-  PlatformOptions opts = small_platform();
-  opts.spot_executors = 1;
-  opts.cores_per_executor = 2;
-  Platform p(opts);
+  cluster::ScenarioSpec opts = small_platform();
+  opts.executors[0].count = 1;
+  opts.executors[0].cores = 2;
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -456,10 +453,10 @@ TEST(EndToEnd, WarmRejectionRedirectsToAnotherWorker) {
 }
 
 TEST(EndToEnd, AllWorkersBusyMeansRejectedResult) {
-  PlatformOptions opts = small_platform();
-  opts.spot_executors = 1;
-  opts.cores_per_executor = 1;
-  Platform p(opts);
+  cluster::ScenarioSpec opts = small_platform();
+  opts.executors[0].count = 1;
+  opts.executors[0].cores = 1;
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -496,7 +493,7 @@ TEST(EndToEnd, AllWorkersBusyMeansRejectedResult) {
 
 TEST(EndToEnd, LeaseExpiryKillsSandboxAndReclaimsCapacity) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -521,7 +518,7 @@ TEST(EndToEnd, LeaseExpiryKillsSandboxAndReclaimsCapacity) {
 TEST(EndToEnd, IdleSandboxesAreReaped) {
   auto opts = small_platform();
   opts.config.executor_idle_timeout = 2_s;
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -541,7 +538,7 @@ TEST(EndToEnd, IdleSandboxesAreReaped) {
 
 TEST(EndToEnd, ExecutorCrashDetectedByResourceManager) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
   EXPECT_EQ(p.rm().alive_executors(), 2u);
@@ -553,7 +550,7 @@ TEST(EndToEnd, ExecutorCrashDetectedByResourceManager) {
 
 TEST(EndToEnd, InvocationOnDeadExecutorFails) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 
@@ -583,7 +580,7 @@ TEST(EndToEnd, InvocationOnDeadExecutorFails) {
 TEST(EndToEnd, BillingAccumulatesAllThreeComponents) {
   auto opts = small_platform();
   opts.config.billing_flush_period = 50_ms;
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   // A function with real compute cost so Cc accumulates.
   CodePackage busy;
@@ -622,7 +619,7 @@ TEST(EndToEnd, BillingAccumulatesAllThreeComponents) {
 
 TEST(EndToEnd, MultipleFunctionsInOneWorkerProcess) {
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   CodePackage doubler;
   doubler.name = "double";
@@ -668,7 +665,7 @@ class PayloadIntegrity : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PayloadIntegrity, EchoAcrossSizes) {
   const std::size_t n = GetParam();
   auto opts = small_platform();
-  Platform p(opts);
+  cluster::Harness p(opts);
   p.registry().add_echo();
   p.start();
 

@@ -6,6 +6,7 @@
 // in CMake so `ctest -L dataplane-chaos` runs this suite alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -74,6 +75,7 @@ TEST(WorkerFaultInjector, ExecutionRegistryCountsDoubles) {
 struct FaultRun {
   unsigned ok = 0;
   unsigned failed = 0;
+  unsigned wrong_output = 0;  // ok results whose echo differs from the input
   std::uint64_t retries = 0;
   std::uint64_t timeouts = 0;
   std::uint64_t corruptions_detected = 0;
@@ -92,6 +94,7 @@ struct FaultRunOptions {
   bool hedging = false;
   bool quarantine_tuning = false;  // short Open windows + deep budget
   std::uint32_t retry_budget = 3;
+  bool caller_buffers = false;     // invoke() on registered buffers, not pooled slots
 };
 
 FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
@@ -134,8 +137,20 @@ FaultRun run_faulted(const FaultRunOptions& opt, std::uint64_t seed = 1) {
 
     std::array<std::uint8_t, 512> payload;
     payload.fill(0x42);
+    auto in = invoker->input_buffer<std::uint8_t>(payload.size());
+    auto out = invoker->output_buffer<std::uint8_t>(payload.size());
     for (unsigned i = 0; i < opt.reps; ++i) {
-      auto r = co_await invoker->invoke_pooled(0, payload);
+      rfaas::InvocationResult r;
+      if (opt.caller_buffers) {
+        for (std::size_t b = 0; b < in.size(); ++b) in[b] = static_cast<std::uint8_t>(b + i);
+        std::fill(out.data(), out.data() + out.size(), 0);
+        r = co_await invoker->invoke(0, in, in.size(), out);
+        if (r.ok && !std::equal(in.data(), in.data() + in.size(), out.data())) {
+          ++run.wrong_output;
+        }
+      } else {
+        r = co_await invoker->invoke_pooled(0, payload);
+      }
       if (r.ok) {
         ++run.ok;
       } else {
@@ -186,6 +201,24 @@ TEST(WorkerFaults, CorruptionDetectedByChecksumAndRetried) {
   EXPECT_GT(run.injected.corruptions, 0u);
   // Every injected flip is caught by the response checksum — none leak
   // into a "successful" result.
+  EXPECT_EQ(run.corruptions_detected, run.injected.corruptions);
+  EXPECT_EQ(run.injected.double_executions, 0u);
+}
+
+TEST(WorkerFaults, SubmitOnCallerBuffersGetsChecksumsUnderGrayAndCorruption) {
+  FaultRunOptions opt;
+  opt.fleet.corrupt_p = 0.1;
+  opt.fleet.gray_p = 0.2;
+  opt.fleet.gray_pause_min = 50_us;  // gray, but well inside the deadline
+  opt.fleet.gray_pause_max = 200_us;
+  opt.caller_buffers = true;
+  const auto run = run_faulted(opt);
+  EXPECT_EQ(run.failed, 0u);
+  EXPECT_GT(run.injected.corruptions, 0u);
+  EXPECT_GT(run.injected.grays, 0u);
+  // Every flipped response is caught and replayed clean: no corrupted
+  // echo comes back as a success.
+  EXPECT_EQ(run.wrong_output, 0u);
   EXPECT_EQ(run.corruptions_detected, run.injected.corruptions);
   EXPECT_EQ(run.injected.double_executions, 0u);
 }

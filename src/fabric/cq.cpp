@@ -42,19 +42,8 @@ sim::Task<Wc> CompletionQueue::wait_blocking() {
 }
 
 sim::Task<std::optional<Wc>> CompletionQueue::wait_polling_until(Time deadline) {
-  // A helper timer pulses the arrival event at the deadline so the waiter
-  // re-checks; the `expired` flag distinguishes timeout from arrival. The
-  // timer checks the CQ liveness token before touching it.
-  auto expired = std::make_shared<bool>(false);
-  auto timer = [](sim::Event* ev, Time when, std::shared_ptr<bool> flag,
-                  std::weak_ptr<int> alive) -> sim::Task<void> {
-    co_await sim::delay_until(when);
-    *flag = true;
-    if (alive.lock()) ev->pulse();
-  };
-  sim::spawn(*sim::Engine::current(), timer(&arrival_, deadline, expired, alive_));
   while (ready_.empty()) {
-    if (*expired) co_return std::nullopt;
+    if (deadline_timer_.passed(deadline)) co_return std::nullopt;
     co_await arrival_.wait();
   }
   Wc wc = ready_.front();
@@ -63,19 +52,11 @@ sim::Task<std::optional<Wc>> CompletionQueue::wait_polling_until(Time deadline) 
 }
 
 sim::Task<std::optional<Wc>> CompletionQueue::wait_blocking_until(Time deadline) {
-  // Same deadline-timer shape as wait_polling_until; the only difference
-  // is the completion-channel wake-up cost paid on a real arrival (a
-  // timeout returns at the deadline itself — nothing woke the thread).
-  auto expired = std::make_shared<bool>(false);
-  auto timer = [](sim::Event* ev, Time when, std::shared_ptr<bool> flag,
-                  std::weak_ptr<int> alive) -> sim::Task<void> {
-    co_await sim::delay_until(when);
-    *flag = true;
-    if (alive.lock()) ev->pulse();
-  };
-  sim::spawn(*sim::Engine::current(), timer(&arrival_, deadline, expired, alive_));
+  // Same deadline handling as wait_polling_until; the only difference is
+  // the completion-channel wake-up cost paid on a real arrival (a timeout
+  // returns at the deadline itself — nothing woke the thread).
   while (ready_.empty()) {
-    if (*expired) co_return std::nullopt;
+    if (deadline_timer_.passed(deadline)) co_return std::nullopt;
     co_await arrival_.wait();
   }
   co_await sim::delay(model_.blocking_wake_latency);

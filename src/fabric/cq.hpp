@@ -7,6 +7,9 @@
 //   - wait_blocking(): completion-channel semantics. The waiter is resumed
 //     `blocking_wake_latency` after CQE generation, modelling the
 //     interrupt + futex wake of ibv_get_cq_event. This is the warm path.
+//
+// The deadline variants share one sim::DeadlineTimer per CQ, so a wait
+// that a completion answers leaves nothing behind in the engine queue.
 #pragma once
 
 #include <deque>
@@ -66,10 +69,8 @@ class CompletionQueue {
   const NetworkModel& model_;
   std::deque<Wc> ready_;
   sim::Event arrival_;
+  sim::DeadlineTimer deadline_timer_{arrival_};  // wakes deadline waiters
   std::uint64_t delivered_ = 0;
-  // Liveness token: deadline timers of wait_polling_until() hold a weak
-  // reference and become no-ops once the CQ is destroyed.
-  std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };
 
 }  // namespace rfs::fabric

@@ -51,14 +51,6 @@ void Session::note_rtt(State& st, Duration sample) {
   st.srtt = 0.875 * st.srtt + 0.125 * s;
 }
 
-sim::Task<void> Session::wake_at(std::shared_ptr<State> st, Time deadline) {
-  const Time now = st->engine.now();
-  if (deadline > now) co_await sim::delay(deadline - now);
-  // Possibly stale (the call may have moved on to a later attempt); a
-  // spurious set only makes the waiter re-check its own deadline.
-  st->reply_event.set();
-}
-
 sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) {
   auto st = state_;
   co_await st->call_mutex.lock();
@@ -82,9 +74,8 @@ sim::Task<Result<Bytes>> Session::call(Bytes request, std::uint64_t request_id) 
     const Time sent_at = st->engine.now();
     st->stream->send(Bytes(request));
     const Time deadline = sent_at + rto;
-    while (!st->pending_reply && !st->closed && st->engine.now() < deadline) {
+    while (!st->pending_reply && !st->closed && !st->rto_timer.passed(deadline)) {
       st->reply_event.reset();
-      sim::spawn(st->engine, wake_at(st, deadline));
       co_await st->reply_event.wait();
     }
     if (st->pending_reply) {

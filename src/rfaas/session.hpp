@@ -113,6 +113,7 @@ class Session {
     std::uint64_t pending_id = 0;
     std::optional<Bytes> pending_reply;
     sim::Event reply_event;
+    sim::DeadlineTimer rto_timer{reply_event};  ///< wakes a call at its attempt deadline
 
     std::deque<Bytes> pushes;
     sim::Event push_event;
@@ -143,7 +144,6 @@ class Session {
   };
 
   static sim::Task<void> pump(std::shared_ptr<State> st);
-  static sim::Task<void> wake_at(std::shared_ptr<State> st, Time deadline);
   static void classify(State& st, Bytes msg);
   static void record_completed(State& st, std::uint64_t id, const Bytes& reply);
   static void note_rtt(State& st, Duration sample);

@@ -7,6 +7,7 @@ thread_local Engine* t_current = nullptr;
 }  // namespace
 
 Engine::Engine() {
+  detached_.prev = detached_.next = &detached_;
   if (t_current == nullptr) t_current = this;
 }
 
@@ -18,22 +19,36 @@ Engine::~Engine() {
   if (t_current == this) t_current = nullptr;
 }
 
-std::uint64_t Engine::register_detached(std::coroutine_handle<> h) {
-  const std::uint64_t id = next_detached_id_++;
-  detached_.emplace(id, h);
-  return id;
+void Engine::register_detached(DetachedLink& link, std::coroutine_handle<> h) {
+  link.handle = h;
+  link.prev = detached_.prev;
+  link.next = &detached_;
+  detached_.prev->next = &link;
+  detached_.prev = &link;
 }
 
-void Engine::deregister_detached(std::uint64_t id) { detached_.erase(id); }
+void Engine::deregister_detached(DetachedLink& link) {
+  link.prev->next = link.next;
+  link.next->prev = link.prev;
+  link.prev = link.next = nullptr;
+}
+
+std::size_t Engine::detached_count() const {
+  std::size_t n = 0;
+  for (const DetachedLink* l = detached_.next; l != &detached_; l = l->next) ++n;
+  return n;
+}
 
 void Engine::drain_detached() {
-  // Swap out first: destroying a frame destroys the child tasks it owns,
-  // but children are never registered (only spawn() registers), so the
-  // map cannot be mutated mid-iteration — the swap just makes that
-  // invariant unnecessary for safety.
-  std::unordered_map<std::uint64_t, std::coroutine_handle<>> victims;
-  victims.swap(detached_);
-  for (auto& [id, h] : victims) h.destroy();
+  // Unlink before destroying: the frame (and the link inside its promise)
+  // dies with destroy(). Destroying a frame destroys the child tasks it
+  // owns, but children are never registered (only spawn() registers), so
+  // the list head is the only cursor that matters.
+  while (detached_.next != &detached_) {
+    DetachedLink& link = *detached_.next;
+    deregister_detached(link);
+    link.handle.destroy();
+  }
   // Queued resumptions may now dangle (their frames died above); nothing
   // may run after a drain, so drop them wholesale.
   queue_ = {};

@@ -6,12 +6,17 @@
 // and are resumed by the engine at the right virtual time. The simulation
 // is single-threaded and fully deterministic: ties in time are broken by
 // insertion order.
+//
+// Detached actors (see spawn() in task.hpp) are tracked in an intrusive
+// doubly linked list whose links live in the task promises themselves, so
+// registering and deregistering an actor is O(1) and allocates nothing:
+// a spawn costs exactly its coroutine frame.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
@@ -52,11 +57,24 @@ class Engine {
   /// Number of pending events.
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
+  /// Link of the detached-actor registry, embedded in every task promise.
+  struct DetachedLink {
+    DetachedLink* prev = nullptr;
+    DetachedLink* next = nullptr;
+    std::coroutine_handle<> handle;
+
+    [[nodiscard]] bool linked() const { return next != nullptr; }
+  };
+
   /// Tracks a detached (spawned) coroutine so still-suspended actors can
-  /// be reclaimed at teardown. Returns the registration id the task's
-  /// final suspend passes back to deregister_detached().
-  std::uint64_t register_detached(std::coroutine_handle<> h);
-  void deregister_detached(std::uint64_t id);
+  /// be reclaimed at teardown. The task's final suspend unlinks it again
+  /// with deregister_detached(). Both are O(1) and allocation-free.
+  void register_detached(DetachedLink& link, std::coroutine_handle<> h);
+  static void deregister_detached(DetachedLink& link);
+
+  /// Number of detached actors still registered (walks the list; meant
+  /// for tests and diagnostics, not for hot paths).
+  [[nodiscard]] std::size_t detached_count() const;
 
   /// Destroys every detached coroutine that has not completed and drops
   /// all pending events. Call only when the engine will never run again,
@@ -87,10 +105,9 @@ class Engine {
   };
 
   std::priority_queue<Item, std::vector<Item>, std::greater<>> queue_;
-  std::unordered_map<std::uint64_t, std::coroutine_handle<>> detached_;
+  DetachedLink detached_;  // sentinel of the circular registry list
   Time now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t next_detached_id_ = 1;
 };
 
 /// RAII helper: makes an engine current for the enclosing scope.

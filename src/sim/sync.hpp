@@ -6,7 +6,9 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -57,6 +59,57 @@ class Event {
 
   bool set_ = false;
   std::deque<std::coroutine_handle<>> waiters_;
+};
+
+/// One re-arming deadline timer shared by every waiter of an Event. At
+/// most one timer is armed, at the earliest deadline a waiter still needs;
+/// a wait arms it only when its own deadline is earlier. When it fires it
+/// pulses the event, and each woken waiter either finds its deadline
+/// passed or arms again. A wait that something else ends first therefore
+/// leaves nothing in the engine queue, however many waits there are.
+///
+///   while (!done) {
+///     if (timer.passed(deadline)) return timeout;
+///     co_await event.wait();
+///   }
+class DeadlineTimer {
+ public:
+  explicit DeadlineTimer(Event& event) : state_(std::make_shared<State>(&event)) {}
+  DeadlineTimer(const DeadlineTimer&) = delete;
+  DeadlineTimer& operator=(const DeadlineTimer&) = delete;
+
+  /// True once `deadline` has passed. Otherwise makes sure the event is
+  /// pulsed no later than `deadline` and returns false.
+  bool passed(Time deadline) {
+    Engine& engine = *Engine::current();
+    if (engine.now() >= deadline) return true;
+    if (deadline < state_->armed_at) {
+      state_->armed_at = deadline;
+      spawn(engine, fire(state_, ++state_->generation, deadline));
+    }
+    return false;
+  }
+
+ private:
+  struct State {
+    explicit State(Event* e) : event(e) {}
+    Event* event;
+    Time armed_at = std::numeric_limits<Time>::max();
+    std::uint64_t generation = 0;  // bumped per arm; older timers are superseded
+  };
+
+  static Task<void> fire(std::weak_ptr<State> weak, std::uint64_t generation, Time at) {
+    co_await delay_until(at);
+    auto st = weak.lock();
+    // The owner is gone, or an earlier deadline superseded this timer.
+    if (!st || st->generation != generation) co_return;
+    st->armed_at = std::numeric_limits<Time>::max();
+    st->event->pulse();
+  }
+
+  // The armed timer holds only a weak reference, so it never touches an
+  // owner (and its event) that was destroyed first.
+  std::shared_ptr<State> state_;
 };
 
 /// Unbounded FIFO channel. Multiple producers/consumers; receivers are

@@ -23,9 +23,7 @@ namespace detail {
 
 struct PromiseBase {
   std::coroutine_handle<> continuation;
-  bool detached = false;
-  Engine* owner = nullptr;        // set by spawn(): engine tracking this actor
-  std::uint64_t detached_id = 0;  // registration in the owner's live set
+  Engine::DetachedLink detached;  // linked by spawn() into the engine's live set
   std::exception_ptr exception;
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -36,9 +34,9 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<Promise> h) noexcept {
       auto& p = h.promise();
       if (p.continuation) return p.continuation;
-      if (p.detached) {
+      if (p.detached.linked()) {
         if (p.exception) std::terminate();  // detached task failed: simulation bug
-        if (p.owner != nullptr) p.owner->deregister_detached(p.detached_id);
+        Engine::deregister_detached(p.detached);
         h.destroy();
       }
       return std::noop_coroutine();
@@ -167,16 +165,16 @@ class [[nodiscard]] Task<void> {
 inline void spawn(Engine& engine, Task<void> t) {
   auto h = t.release();
   assert(h);
-  h.promise().detached = true;
-  h.promise().owner = &engine;
-  h.promise().detached_id = engine.register_detached(h);
+  engine.register_detached(h.promise().detached, h);
   engine.schedule_now(h);
 }
 
 /// Suspends the awaiting task for `d` nanoseconds of virtual time.
 struct Delay {
   Duration d;
-  bool await_ready() const noexcept { return d == 0 && false; }
+  // Never ready, not even for d == 0: a zero delay still yields, queueing
+  // the caller behind events already scheduled for now (FIFO order).
+  bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) const {
     Engine::current()->schedule_after(d, h);
   }

@@ -671,5 +671,138 @@ TEST_P(PayloadSweep, WriteIntegrityAcrossSizes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, PayloadSweep,
                          ::testing::Values(1, 2, 127, 128, 129, 1024, 4096, 65536, 1048576));
 
+// --------------------------------------------------------------------------
+// Deadline waits: one re-arming timer per CQ
+// --------------------------------------------------------------------------
+
+TEST_F(FabricTest, AnsweredDeadlineWaitsLeaveNoTimersBehind) {
+  // The executor's hot-polling shape: every wait carries a long rollback
+  // deadline and is answered by a CQE long before it. The answered waits
+  // must not leave one timer each in the engine queue.
+  CompletionQueue cq(fab.model());
+  constexpr int kWaits = 10000;
+  int answered = 0;
+  std::size_t pending_after = 0;
+  auto waiter = [&]() -> sim::Task<void> {
+    for (int i = 0; i < kWaits; ++i) {
+      if (co_await cq.wait_polling_until(eng.now() + 500_ms)) ++answered;
+    }
+    pending_after = eng.pending();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    for (int i = 0; i < kWaits; ++i) {
+      co_await sim::delay(1_us);
+      cq.push(Wc{});
+    }
+  };
+  sim::spawn(eng, waiter());
+  sim::spawn(eng, pusher());
+  eng.run();
+  EXPECT_EQ(answered, kWaits);
+  EXPECT_LE(pending_after, 2u);
+}
+
+TEST_F(FabricTest, DestroyingCqWithArmedTimerIsSafe) {
+  auto cq = std::make_unique<CompletionQueue>(fab.model());
+  bool answered = false;
+  auto waiter = [&]() -> sim::Task<void> {
+    answered = (co_await cq->wait_polling_until(eng.now() + 1_ms)).has_value();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_us);
+    cq->push(Wc{});
+  };
+  sim::spawn(eng, waiter());
+  sim::spawn(eng, pusher());
+  eng.run_until(10_us);
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(eng.pending(), 1u);  // the deadline timer, still armed
+  cq.reset();
+  eng.run();  // the timer fires after its CQ is gone and must not touch it
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.now(), 1_ms);
+}
+
+/// Runs each check against both deadline waits (param: blocking).
+class DeadlineWaitTest : public FabricTest, public ::testing::WithParamInterface<bool> {
+ protected:
+  sim::Task<std::optional<Wc>> wait_until(CompletionQueue& cq, Time deadline) {
+    return GetParam() ? cq.wait_blocking_until(deadline) : cq.wait_polling_until(deadline);
+  }
+
+  /// A first wait with deadline `first_deadline`, answered by a CQE at
+  /// 1 ms, leaves the CQ's timer armed there; a second wait issued right
+  /// after, with deadline 1 ms + `second_timeout` and no CQE, must time
+  /// out at exactly that deadline.
+  void expect_timeout_at_deadline(Time first_deadline, Duration second_timeout) {
+    CompletionQueue cq(fab.model());
+    std::optional<Wc> first, second = Wc{};
+    Time second_deadline = 0, second_done = 0;
+    auto waiter = [&]() -> sim::Task<void> {
+      first = co_await wait_until(cq, first_deadline);
+      second_deadline = eng.now() + second_timeout;
+      second = co_await wait_until(cq, second_deadline);
+      second_done = eng.now();
+    };
+    auto pusher = [&]() -> sim::Task<void> {
+      co_await sim::delay(1_ms);
+      cq.push(Wc{});
+    };
+    sim::spawn(eng, waiter());
+    sim::spawn(eng, pusher());
+    eng.run();
+    EXPECT_TRUE(first.has_value());
+    EXPECT_FALSE(second.has_value());
+    EXPECT_EQ(second_done, second_deadline);
+  }
+};
+
+TEST_P(DeadlineWaitTest, TimesOutAtDeadlineWhenEarlierWaitArmedALaterTimer) {
+  // Armed at 10 ms by the first wait; the second (deadline ~3 ms) must
+  // re-arm earlier instead of sleeping until 10 ms.
+  expect_timeout_at_deadline(10_ms, 2_ms);
+}
+
+TEST_P(DeadlineWaitTest, TimesOutAtDeadlineWhenEarlierWaitArmedAnEarlierTimer) {
+  // Armed at 5 ms by the first wait; it fires while the second (deadline
+  // ~9 ms) still waits, which must re-arm for its own deadline.
+  expect_timeout_at_deadline(5_ms, 8_ms);
+}
+
+TEST_P(DeadlineWaitTest, CompletionAfterSupersededTimerStillArrives) {
+  // Three waits on one CQ: the first arms a timer at 10 ms, the second
+  // supersedes it with an earlier deadline and times out, the third
+  // (deadline 20 ms) is answered at 15 ms. The superseded 10 ms timer
+  // must neither end the third wait nor linger afterwards.
+  CompletionQueue cq(fab.model());
+  std::optional<Wc> first, second = Wc{}, third;
+  Time third_done = 0;
+  auto waiter = [&]() -> sim::Task<void> {
+    first = co_await wait_until(cq, 10_ms);
+    second = co_await wait_until(cq, eng.now() + 1_ms);
+    third = co_await wait_until(cq, 20_ms);
+    third_done = eng.now();
+  };
+  auto pusher = [&]() -> sim::Task<void> {
+    co_await sim::delay(1_ms);
+    cq.push(Wc{});
+    co_await sim::delay(14_ms);
+    cq.push(Wc{});
+  };
+  sim::spawn(eng, waiter());
+  sim::spawn(eng, pusher());
+  eng.run();
+  EXPECT_TRUE(first.has_value());
+  EXPECT_FALSE(second.has_value());
+  ASSERT_TRUE(third.has_value());
+  const Duration wake = GetParam() ? fab.model().blocking_wake_latency : 0;
+  EXPECT_EQ(third_done, 15_ms + wake);
+}
+
+INSTANTIATE_TEST_SUITE_P(PollingAndBlocking, DeadlineWaitTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Blocking" : "Polling";
+                         });
+
 }  // namespace
 }  // namespace rfs::fabric

@@ -119,6 +119,40 @@ TEST_F(SessionTest, LosslessCallCompletesWithoutRetransmit) {
   EXPECT_LT(session->current_rto(), quick_options().rto_initial);
 }
 
+TEST_F(SessionTest, PromptRepliesLeaveAtMostOneRtoTimer) {
+  // Every call arms a retransmission deadline that its prompt reply beats
+  // by far. The session keeps one re-arming timer, so 1,000 answered
+  // calls leave at most that one timer queued, not one per call.
+  constexpr int kCalls = 1000;
+  auto session = run_against([](std::shared_ptr<net::TcpStream> s) -> sim::Task<void> {
+    for (int i = 0; i < kCalls; ++i) {
+      auto raw = co_await s->recv();
+      EXPECT_TRUE(raw.has_value());
+      if (!raw) co_return;
+      answer(*s, *raw, 100 + i);
+    }
+  });
+  ASSERT_NE(session, nullptr);
+
+  int ok = 0;
+  std::size_t pending_after = 0;
+  sim::spawn(eng, [](sim::Engine* e, std::shared_ptr<Session> ss, int* ok,
+                     std::size_t* pending) -> sim::Task<void> {
+    for (int i = 0; i < kCalls; ++i) {
+      const auto id = ss->next_request_id();
+      if ((co_await ss->call(lease_request(id), id)).ok()) ++*ok;
+    }
+    // Client, server and pump are all parked on their streams: whatever
+    // is still queued is RTO timers.
+    *pending = e->pending();
+  }(&eng, session, &ok, &pending_after));
+  eng.run();
+
+  EXPECT_EQ(ok, kCalls);
+  EXPECT_EQ(session->retransmits(), 0u);
+  EXPECT_LE(pending_after, 1u);
+}
+
 TEST_F(SessionTest, TimeoutFiresAndRetransmitRecoversLostRequest) {
   // The server swallows the first delivery — exactly what a dropped
   // request looks like — and answers the retransmitted copy.

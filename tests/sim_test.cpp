@@ -2,11 +2,39 @@
 // delays, synchronization primitives, futures, and the host/core model.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "sim/host.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
+
+// Allocation counting (each tests/*.cpp builds into its own binary, so
+// replacing global new/delete here is hermetic). The detached-registry
+// test demands that a spawn allocate nothing beyond its coroutine frame.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rfs::sim {
 namespace {
@@ -364,6 +392,73 @@ TEST(Determinism, TwoRunsIdenticalSchedule) {
     return log;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+/// Counts its own destruction in a per-actor slot, so a test can tell
+/// which actors' frames were destroyed, and how many times.
+struct DestructionProbe {
+  std::vector<int>* destroyed;
+  int id;
+  ~DestructionProbe() { ++(*destroyed)[id]; }
+};
+
+TEST(DetachedRegistry, DrainDestroysExactlyTheParkedActorsOnce) {
+  constexpr int kActors = 12;
+  std::vector<int> destroyed(kActors, 0);
+  Event never;  // parked actors wait on this forever
+  Engine eng;   // declared last: its destructor's drain runs first
+  auto actor = [](std::vector<int>* destroyed, int id, Event* park) -> Task<void> {
+    DestructionProbe probe{destroyed, id};
+    co_await delay(static_cast<Duration>(id));
+    if (park != nullptr) co_await park->wait();
+  };
+  auto parks = [](int id) { return id % 3 == 0; };
+  for (int id = 0; id < kActors; ++id) {
+    spawn(eng, actor(&destroyed, id, parks(id) ? &never : nullptr));
+  }
+  eng.run();
+
+  // Completed actors destroyed themselves; parked ones are still registered.
+  EXPECT_EQ(eng.detached_count(), 4u);
+  for (int id = 0; id < kActors; ++id) EXPECT_EQ(destroyed[id], parks(id) ? 0 : 1) << id;
+
+  eng.drain_detached();
+  EXPECT_EQ(eng.detached_count(), 0u);
+  for (int id = 0; id < kActors; ++id) EXPECT_EQ(destroyed[id], 1) << id;
+
+  // A second drain (as ~Engine runs) finds nothing left to destroy.
+  eng.drain_detached();
+  for (int id = 0; id < kActors; ++id) EXPECT_EQ(destroyed[id], 1) << id;
+}
+
+TEST(DetachedRegistry, SpawnAndCompleteCyclesLeaveNothingRegistered) {
+  Engine eng;
+  std::uint64_t completed = 0;
+  auto actor = [](std::uint64_t* done) -> Task<void> {
+    co_await delay(1);
+    ++*done;
+  };
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 1000; ++i) spawn(eng, actor(&completed));
+    eng.run();
+    ASSERT_EQ(eng.detached_count(), 0u) << round;
+  }
+  EXPECT_EQ(completed, 100000u);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(DetachedRegistry, SpawnAllocatesOnlyItsFrame) {
+  Engine eng;
+  auto actor = []() -> Task<void> { co_await delay(1); };
+  constexpr int kActors = 1000;
+  // Warm-up round: grows the event queue to its steady-state capacity.
+  for (int i = 0; i < kActors; ++i) spawn(eng, actor());
+  eng.run();
+
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < kActors; ++i) spawn(eng, actor());
+  eng.run();
+  EXPECT_EQ(g_allocations.load() - before, static_cast<std::uint64_t>(kActors));
 }
 
 }  // namespace

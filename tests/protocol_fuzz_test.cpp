@@ -113,6 +113,126 @@ std::vector<Bytes> sample_messages() {
   return msgs;
 }
 
+std::string hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (std::uint8_t v : b) {
+    s += kDigits[v >> 4];
+    s += kDigits[v & 0xF];
+  }
+  return s;
+}
+
+// Golden wire bytes: the exact encoding of every sample message, field
+// order and widths included. Any codec change that moves a single byte
+// of any message fails here, independent of the virtual-time baselines.
+const char* const kSampleHex[] = {
+    "0003000000581b591b24000000000000001000000004000000000000000100000004000000",
+    "017117cefaedfe000000004d0000000100000004000000",
+    "0209000000100000000000004000000000005847f80d0000000900000001000000",
+    "030b0000000000000000000000000000000400000000000000000000000900000001000000",
+    "04040000006e6f70650000000000000000",
+    "040b0000007374616c652065706f63680300000002000000",
+    "170040787d01000000000a00000001000000",
+    "05050000000000000000000000020000000000000000000000000000000000000000000000000000000000",
+    "060108000000000000000000000000000000000000000000",
+    "070000000000000000040000006563686fc81e000000000000",
+    "080300",
+    "0901000000000000000200000000000000",
+    "0e01000000000000000200000003000000000000000800000005000000",
+    "1601000000000000000800000005000000",
+    "0f2a0000000000070000ac23fc060000000200000006000000",
+    "102a0000000000070000046bf4140000000200000006000000",
+    "1109000000200000000000001000000000005847f80d000000010000000000000000",
+    "1201020000000700000000000100000000000000000004000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "13050000000000030000b08ef01b000000",
+    "0d0900000000000200020082357a0a0000000c00000000000000",
+    "1500004cd0b50a0000000200000009000000000002000a000000000002000d00000000000000",
+    "144d000000",
+    "18110000000000000002090000000000030005000000010000000000030004000000000000100000000000046bf41400000001000000000000002400000007000000fecaefbeadde0000",
+    "19020000000010000000000000edfecefa000000000c00000000000000",
+    "1a02000000041000000000000000863ba101000000",
+    "1b0500000009000000000003000200000004000000",
+    "1c070000000f000000020000000000000000000000",
+    "1d07000000030000002c03000028000000030000001500000005000000",
+    "1e1500000005000000",
+};
+
+TEST(ProtocolGolden, EveryMessageEncodesToPinnedBytes) {
+  const auto msgs = sample_messages();
+  ASSERT_EQ(msgs.size(), std::size(kSampleHex));
+  for (std::size_t i = 0; i < msgs.size(); ++i) {
+    EXPECT_EQ(hex(msgs[i]), kSampleHex[i]) << "sample " << i;
+  }
+}
+
+TEST(ProtocolGolden, HotMessagesWithEveryFieldSetEncodeToPinnedBytes) {
+  LeaseRequestMsg req{9, 16, 1_GiB, 60_s};
+  LeaseGrantMsg grant;
+  grant.lease_id = (5ull << 48) | 123;
+  grant.device = 7;
+  grant.alloc_port = 7000;
+  grant.rdma_port = 7001;
+  grant.workers = 4;
+  grant.expires_at = 90_s;
+  LeaseDeniedMsg denied;
+  denied.reason = static_cast<std::uint8_t>(DenialReason::QuotaExceeded);
+  denied.retry_after = 250_ms;
+  denied.request_id = (2ull << 32) | 6;
+  JournalRecordMsg rec;
+  rec.seq = 31;
+  rec.op = 4;
+  rec.lease_id = (1ull << 48) | 2;
+  rec.client_id = 9;
+  rec.executor = (1ull << 48) | 1;
+  rec.workers = 2;
+  rec.memory = 64ull << 20;
+  rec.time = 42_s;
+  rec.aux = 3;
+  rec.aux2 = 0;
+  rec.checksum = 0xBEEF;
+  HealthReportMsg health;
+  health.client_id = 9;
+  health.device = 2;
+  health.latency_us = 1500;
+  health.ok_count = 12;
+  health.fail_count = 8;
+  health.request_id = (6ull << 32) | 6;
+  // SubmitCode is padded to the library size on the wire; the padding
+  // is part of the frame and the decoder must ignore it.
+  SubmitCodeMsg code;
+  code.sandbox_id = 8;
+  code.function_name = "echo";
+  code.code_size = 48;
+  Bytes padded = encode(code);
+  padded.resize(code.code_size);
+
+  const std::pair<Bytes, const char*> golden[] = {
+      {encode(req), "0209000000100000000000004000000000005847f80d0000000000000000000000"},
+      {encode(grant), "037b0000000000050007000000581b591b0400000000046bf4140000000000000000000000"},
+      {encode(ExtendLeaseMsg{(7ull << 48) | 42, 30_s}), "0f2a0000000000070000ac23fc060000000000000000000000"},
+      {encode(ExtendOkMsg{(7ull << 48) | 42, 90_s}), "102a0000000000070000046bf4140000000000000000000000"},
+      {encode(denied), "170180b2e60e000000000600000002000000"},
+      {encode(rec), "181f00000000000000040200000000000100090000000100000000000100020000000000000400000000002465c70900000003000000000000000000000000000000efbe000000000000"},
+      {encode(SnapshotOfferMsg{2, 100, 0xABCD, 7}), "19020000006400000000000000cdab0000000000000700000000000000"},
+      {encode(FailoverAnnounceMsg{2, 101, 5_s}), "1a02000000650000000000000000f2052a01000000"},
+      {encode(LeaseRevalidateMsg{9, (1ull << 48) | 2, (6ull << 32) | 4}), "1b0900000002000000000001000400000006000000"},
+      {encode(InvocationCancelMsg{9, (3ull << 32) | 77, (6ull << 32) | 5}), "1c090000004d000000030000000500000006000000"},
+      {encode(health), "1d0900000002000000dc0500000c000000080000000600000006000000"},
+      {encode(HealthReportOkMsg{(6ull << 32) | 6}), "1e0600000006000000"},
+      {padded,
+       "070800000000000000040000006563686f30000000000000000000000000000000000000000000000000000000000000"},
+  };
+  for (const auto& [wire, expected] : golden) {
+    EXPECT_EQ(hex(wire), expected) << "type byte " << int(wire[0]);
+  }
+  auto sub = decode_submit_code(padded);
+  ASSERT_TRUE(sub.ok());
+  EXPECT_EQ(sub.value().sandbox_id, 8u);
+  EXPECT_EQ(sub.value().function_name, "echo");
+  EXPECT_EQ(sub.value().code_size, 48u);
+}
+
 /// Tries every decoder on `raw`; returns how many accepted it.
 int accepted_by_any(const Bytes& raw) {
   int n = 0;

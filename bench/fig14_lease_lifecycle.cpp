@@ -79,7 +79,7 @@ sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool
         auto raw = co_await stream->recv();
         if (!raw.has_value()) co_return;
         ++out->round_trips;
-        auto reply = rfaas::decode_batch_granted(*raw);
+        auto reply = rfaas::decode<rfaas::BatchGrantedMsg>(*raw);
         if (!reply.ok() || reply.value().grants.empty()) {
           co_await sim::delay(1_ms);  // transient exhaustion: back off
           continue;
@@ -98,7 +98,7 @@ sim::Task<void> acquisition_client(cluster::Harness* h, std::size_t client, bool
         auto raw = co_await stream->recv();
         if (!raw.has_value()) co_return;
         ++out->round_trips;
-        auto grant = rfaas::decode_lease_grant(*raw);
+        auto grant = rfaas::decode<rfaas::LeaseGrantMsg>(*raw);
         if (!grant.ok()) {
           co_await sim::delay(1_ms);
           continue;

@@ -20,7 +20,7 @@
 //      leases. The indexes add O(log live) heap pushes; the gate bounds
 //      the growth at 3x so grant throughput cannot regress with fleet
 //      occupancy (the "no worse than PR 4" guard).
-//  (d) Wire fast path — encode_into/span-decode of the hot messages
+//  (d) Wire fast path — encode_into/decode<M> of the hot messages
 //      (LeaseRequest/LeaseGrant/ExtendLease/ExtendOk) plus the
 //      data-plane invoke header, counted by a global allocation hook.
 //      Gate: exactly 0 heap allocations per round trip.
@@ -279,19 +279,19 @@ WireResult run_wire(unsigned iterations) {
   const double t0 = now_us();
   for (unsigned i = 0; i < iterations; ++i) {
     std::size_t n = rfaas::encode_into(request, buf, sizeof buf);
-    auto req = rfaas::decode_lease_request(std::span<const std::uint8_t>(buf, n));
+    auto req = rfaas::decode<rfaas::LeaseRequestMsg>(std::span<const std::uint8_t>(buf, n));
     checksum += req.ok() ? req.value().workers : 0;
 
     n = rfaas::encode_into(grant, buf, sizeof buf);
-    auto g = rfaas::decode_lease_grant(std::span<const std::uint8_t>(buf, n));
+    auto g = rfaas::decode<rfaas::LeaseGrantMsg>(std::span<const std::uint8_t>(buf, n));
     checksum += g.ok() ? g.value().lease_id : 0;
 
     n = rfaas::encode_into(extend, buf, sizeof buf);
-    auto ext = rfaas::decode_extend_lease(std::span<const std::uint8_t>(buf, n));
+    auto ext = rfaas::decode<rfaas::ExtendLeaseMsg>(std::span<const std::uint8_t>(buf, n));
     checksum += ext.ok() ? ext.value().extension : 0;
 
     n = rfaas::encode_into(extend_ok, buf, sizeof buf);
-    auto ok = rfaas::decode_extend_ok(std::span<const std::uint8_t>(buf, n));
+    auto ok = rfaas::decode<rfaas::ExtendOkMsg>(std::span<const std::uint8_t>(buf, n));
     checksum += ok.ok() ? ok.value().expires_at : 0;
 
     // Data-plane invoke: 32-byte header + packed immediate.

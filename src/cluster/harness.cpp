@@ -241,10 +241,10 @@ sim::Task<Harness::LeaseAttempt> Harness::request_lease(
   if (!raw.ok()) co_return attempt;
   attempt.open = true;
 
-  auto grant = rfaas::decode_lease_grant(raw.value());
+  auto grant = rfaas::decode<rfaas::LeaseGrantMsg>(raw.value());
   if (!grant.ok()) {
     ++out.denied;
-    if (auto shed = rfaas::decode_lease_denied(raw.value()); shed.ok()) {
+    if (auto shed = rfaas::decode<rfaas::LeaseDeniedMsg>(raw.value()); shed.ok()) {
       ++out.overload_denials;
       attempt.overload = true;
       attempt.retry_after = shed.value().retry_after;

@@ -451,14 +451,14 @@ sim::Task<void> ExecutorManager::handle_stream(std::shared_ptr<net::TcpStream> s
     if (!raw.has_value()) break;
     auto type = peek_type(*raw);
     if (!type) {
-      stream->send(encode_lease_error("malformed message"));
+      stream->send(encode(LeaseErrorMsg{"malformed message"}));
       continue;
     }
     switch (type.value()) {
       case MsgType::AllocationRequest: {
-        auto req = decode_allocation_request(*raw);
+        auto req = decode<AllocationRequestMsg>(*raw);
         if (!req) {
-          stream->send(encode_lease_error(req.error().message));
+          stream->send(encode(LeaseErrorMsg{req.error().message}));
           break;
         }
         auto reply = co_await allocate_sandbox(req.value());
@@ -466,19 +466,19 @@ sim::Task<void> ExecutorManager::handle_stream(std::shared_ptr<net::TcpStream> s
         break;
       }
       case MsgType::SubmitCode: {
-        auto req = decode_submit_code(*raw);
+        auto req = decode<SubmitCodeMsg>(*raw);
         if (!req) {
-          stream->send(encode_lease_error(req.error().message));
+          stream->send(encode(LeaseErrorMsg{req.error().message}));
           break;
         }
         Sandbox* sb = find_sandbox(req.value().sandbox_id);
         if (sb == nullptr || sb->dead) {
-          stream->send(encode_lease_error("unknown sandbox"));
+          stream->send(encode(LeaseErrorMsg{"unknown sandbox"}));
           break;
         }
         auto pkg = registry_.find(req.value().function_name);
         if (!pkg) {
-          stream->send(encode_lease_error(pkg.error().message));
+          stream->send(encode(LeaseErrorMsg{pkg.error().message}));
           break;
         }
         // Warm-pool payoff: a revived sandbox still has the library
@@ -502,9 +502,9 @@ sim::Task<void> ExecutorManager::handle_stream(std::shared_ptr<net::TcpStream> s
         break;
       }
       case MsgType::Deallocate: {
-        auto req = decode_deallocate(*raw);
+        auto req = decode<DeallocateMsg>(*raw);
         if (!req) {
-          stream->send(encode_lease_error(req.error().message));
+          stream->send(encode(LeaseErrorMsg{req.error().message}));
           break;
         }
         Sandbox* sb = find_sandbox(req.value().sandbox_id);
@@ -520,12 +520,12 @@ sim::Task<void> ExecutorManager::handle_stream(std::shared_ptr<net::TcpStream> s
         // Parking the tag is enough: a dispatch that has not started yet
         // consumes it and drops; one already past dispatch is absorbed
         // by the dedup table on the client's side instead.
-        auto req = decode_invocation_cancel(*raw);
+        auto req = decode<InvocationCancelMsg>(*raw);
         if (req) note_cancel(req.value().invocation_tag);
         break;
       }
       default:
-        stream->send(encode_lease_error("unexpected message type"));
+        stream->send(encode(LeaseErrorMsg{"unexpected message type"}));
         break;
     }
   }
@@ -932,7 +932,7 @@ sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
     log::warn("executor", "registration failed: ", reply.error().message);
     co_return false;
   }
-  auto ok = decode_register_ok(reply.value());
+  auto ok = decode<RegisterOkMsg>(reply.value());
   if (!ok) {
     // Typically a LeaseError push-back: this epoch was fenced by a newer
     // registration session for the same device.
@@ -966,7 +966,7 @@ sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
       // window spans multiple heartbeats), so they stay fire-and-forget.
       rm_session_->send_raw(encode(MsgType::HeartbeatAck));
     } else if (type.value() == MsgType::LeaseRenewed) {
-      auto renewed = decode_lease_renewed(*msg);
+      auto renewed = decode<LeaseRenewedMsg>(*msg);
       if (!renewed) continue;
       for (auto& [id, sb] : sandboxes_) {
         if (sb->dead || sb->lease_id != renewed.value().lease_id) continue;
@@ -977,13 +977,13 @@ sim::Task<bool> ExecutorManager::register_session(fabric::DeviceId rm_device,
       // manager side; tear its sandboxes down now instead of waiting for
       // the (possibly renewed) expiry timer. No ReleaseResources back —
       // the manager returned the capacity when it evicted.
-      auto term = decode_lease_terminated(*msg);
+      auto term = decode<LeaseTerminatedMsg>(*msg);
       if (!term) continue;
       reclaim_lease(term.value().lease_id);
     } else if (type.value() == MsgType::LeasesTerminated) {
       // Batched form: one message carries every lease the manager evicted
       // from this executor in one sweep.
-      auto term = decode_leases_terminated(*msg);
+      auto term = decode<LeasesTerminatedMsg>(*msg);
       if (!term) continue;
       for (auto lease_id : term.value().lease_ids) reclaim_lease(lease_id);
     }

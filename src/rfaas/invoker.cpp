@@ -230,7 +230,7 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
     // holds can be trusted until it is re-validated against the restored
     // lease table (leases granted in the blackout window by the dead
     // primary may not have reached the journal).
-    auto announce = decode_failover_announce(raw);
+    auto announce = decode<FailoverAnnounceMsg>(raw);
     if (!announce) return;
     ++state->failover_announces;
     sim::spawn(*state->engine, revalidate_all(state));
@@ -239,7 +239,7 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
   if (type.ok() && type.value() == MsgType::LeasesTerminated) {
     // Batched push: one message per sweep carries every lease of this
     // client the manager evicted together.
-    auto batch = decode_leases_terminated(raw);
+    auto batch = decode<LeasesTerminatedMsg>(raw);
     if (!batch) return;
     for (auto lease_id : batch.value().lease_ids) {
       apply_termination(state, lease_id, batch.value().reason, batch.value().evicted_at,
@@ -247,7 +247,7 @@ void LeaseSet::handle_notification(const std::shared_ptr<State>& state, const By
     }
     return;
   }
-  auto term = decode_lease_terminated(raw);
+  auto term = decode<LeaseTerminatedMsg>(raw);
   if (!term) return;
   apply_termination(state, term.value().lease_id, term.value().reason,
                     term.value().evicted_at, heal);
@@ -295,7 +295,7 @@ sim::Task<void> LeaseSet::revalidate_all(std::shared_ptr<State> state) {
     if (!reply.ok()) co_return;
     auto type = peek_type(reply.value());
     if (type.ok() && type.value() == MsgType::ExtendOk) {
-      auto ok = decode_extend_ok(reply.value());
+      auto ok = decode<ExtendOkMsg>(reply.value());
       if (!ok.ok()) continue;
       if (auto it = state->leases.find(id); it != state->leases.end()) {
         // Adopt the manager's authoritative deadline: the promoted
@@ -364,7 +364,7 @@ sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_i
     });
     if (!raw.ok()) break;  // manager unreachable (disconnect / budget out)
 
-    auto grant = decode_lease_grant(raw.value());
+    auto grant = decode<LeaseGrantMsg>(raw.value());
     if (grant.ok()) {
       const LeaseGrantMsg& g = grant.value();
       if (!state->healing_enabled || state->canceled.count(lost.origin) > 0) {
@@ -415,7 +415,7 @@ sim::Task<void> LeaseSet::heal(std::shared_ptr<State> state, std::uint64_t old_i
     // reason: waits may stretch past the hint, never compress below it.
     ++denials;
     Duration wait = backoff;
-    if (auto shed = decode_lease_denied(raw.value()); shed.ok()) {
+    if (auto shed = decode<LeaseDeniedMsg>(raw.value()); shed.ok()) {
       ++state->overload_denials;
       if (state->options.honor_retry_after) {
         wait = std::max(wait, shed.value().retry_after);
@@ -549,7 +549,7 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
         failed = true;
         continue;
       }
-      auto ok = decode_extend_ok(raw.value());
+      auto ok = decode<ExtendOkMsg>(raw.value());
       if (ok.ok()) {
         it->second.expires_at = ok.value().expires_at;
         ++state->renewals;
@@ -557,10 +557,10 @@ sim::Task<void> LeaseSet::renew_loop(std::shared_ptr<State> state, std::uint64_t
       } else {
         // The manager refused (typically "unknown lease"): the lease is
         // dead on the authoritative side — surface both signals.
-        auto reason = decode_lease_error(raw.value());
+        auto reason = decode<LeaseErrorMsg>(raw.value());
         ++state->renewal_failures;
         if (state->renewal_failed_fn) {
-          state->renewal_failed_fn(id, reason.ok() ? reason.value() : "renewal refused");
+          state->renewal_failed_fn(id, reason.ok() ? reason.value().reason : "renewal refused");
         }
         expire(id);
       }
@@ -734,12 +734,12 @@ sim::Task<Result<std::vector<LeaseGrantMsg>>> Invoker::acquire_leases(
     if (!reply.ok()) {
       co_return Error::make(40, "resource manager unreachable: " + reply.error().message);
     }
-    if (auto shed = decode_lease_denied(reply.value()); shed.ok()) {
+    if (auto shed = decode<LeaseDeniedMsg>(reply.value()); shed.ok()) {
       co_return Error::make(42, "lease shed by admission control (retry after " +
                                     std::to_string(shed.value().retry_after / 1'000'000) +
                                     " ms)");
     }
-    auto batch = decode_batch_granted(reply.value());
+    auto batch = decode<BatchGrantedMsg>(reply.value());
     if (!batch) co_return batch.error();
     if (batch.value().grants.empty()) {
       co_return Error::make(41, "lease denied: " + (batch.value().error.empty()
@@ -763,16 +763,16 @@ sim::Task<Result<std::vector<LeaseGrantMsg>>> Invoker::acquire_leases(
       // Admission shed: a transient, retryable condition — distinct
       // error code so callers can back off (at least retry_after)
       // instead of treating it as a capacity refusal.
-      auto shed = decode_lease_denied(reply.value());
+      auto shed = decode<LeaseDeniedMsg>(reply.value());
       const Duration after = shed.ok() ? shed.value().retry_after : 0;
       co_return Error::make(42, "lease shed by admission control (retry after " +
                                     std::to_string(after / 1'000'000) + " ms)");
     }
     if (!type.ok() || type.value() != MsgType::LeaseGrant) {
-      auto err = decode_lease_error(reply.value());
-      co_return Error::make(41, "lease denied: " + (err.ok() ? err.value() : "unknown"));
+      auto err = decode<LeaseErrorMsg>(reply.value());
+      co_return Error::make(41, "lease denied: " + (err.ok() ? err.value().reason : "unknown"));
     }
-    auto grant_msg = decode_lease_grant(reply.value());
+    auto grant_msg = decode<LeaseGrantMsg>(reply.value());
     if (!grant_msg) co_return grant_msg.error();
     grants.push_back(grant_msg.value());
   }
@@ -798,7 +798,7 @@ sim::Task<Status> Invoker::deploy_grant(const AllocationSpec& spec, const LeaseG
   mgr_stream->send(encode(alloc));
   auto alloc_raw = co_await mgr_stream->recv();
   if (!alloc_raw.has_value()) co_return Error::make(42, "allocator disconnected");
-  auto alloc_reply = decode_allocation_reply(*alloc_raw);
+  auto alloc_reply = decode<AllocationReplyMsg>(*alloc_raw);
   if (!alloc_reply) co_return alloc_reply.error();
   if (!alloc_reply.value().ok) {
     co_return Error::make(43, "allocation failed: " + alloc_reply.value().error);
@@ -840,19 +840,17 @@ sim::Task<Status> Invoker::deploy_grant(const AllocationSpec& spec, const LeaseG
   SubmitCodeMsg code;
   code.sandbox_id = alloc_reply.value().sandbox_id;
   code.function_name = spec.function_name;
-  auto payload = encode(code);
-  std::uint64_t code_size = spec.code_size;
-  code.code_size = code_size;
-  payload = encode(code);  // re-encode with the final size
-  if (code_size > payload.size()) payload.resize(code_size);
+  code.code_size = spec.code_size;
+  Bytes payload = encode(code);
+  if (code.code_size > payload.size()) payload.resize(code.code_size);
   mgr_stream->send(std::move(payload));
   auto code_raw = co_await mgr_stream->recv();
   if (!code_raw.has_value()) co_return Error::make(45, "allocator disconnected");
   auto code_type = peek_type(*code_raw);
   if (!code_type.ok() || code_type.value() != MsgType::SubmitCodeOk) {
-    auto err = decode_lease_error(*code_raw);
+    auto err = decode<LeaseErrorMsg>(*code_raw);
     co_return Error::make(46, "code submission failed: " +
-                                  (err.ok() ? err.value() : "unknown"));
+                                  (err.ok() ? err.value().reason : "unknown"));
   }
   cold_start_.submit_code += engine_.now() - t0;
 
@@ -908,7 +906,7 @@ sim::Task<Result<std::uint16_t>> Invoker::add_function(const std::string& name) 
     alloc.mgr_stream->send(encode(code));
     auto raw = co_await alloc.mgr_stream->recv();
     if (!raw.has_value()) co_return Error::make(45, "allocator disconnected");
-    auto ok = decode_submit_code_ok(*raw);
+    auto ok = decode<SubmitCodeOkMsg>(*raw);
     if (!ok) co_return Error::make(46, "code submission failed for " + name);
     index = ok.value().fn_index;
   }

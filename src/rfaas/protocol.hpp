@@ -9,9 +9,13 @@
 // immediate value packs the function index and the invocation identifier.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -145,6 +149,7 @@ enum class InvocationPolicy : std::uint8_t {
 
 /// Spot-executor registration with the resource manager (Sec. III-A).
 struct RegisterExecutorMsg {
+  static constexpr MsgType kType = MsgType::RegisterExecutor;
   std::uint32_t device = 0;       ///< fabric device id of the spot host
   std::uint16_t alloc_port = 0;   ///< TCP port of the lightweight allocator
   std::uint16_t rdma_port = 0;    ///< fabric CM port for worker connections
@@ -152,31 +157,47 @@ struct RegisterExecutorMsg {
   std::uint64_t memory_bytes = 0; ///< offerable memory of the host
   std::uint64_t epoch = 0;        ///< registration session epoch (fences stale sessions)
   std::uint64_t request_id = 0;   ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = RegisterExecutorMsg;
+    return std::tuple{&M::device, &M::alloc_port, &M::rdma_port, &M::cores, &M::memory_bytes,
+                      &M::epoch, &M::request_id};
+  }
 };
 
 /// Registration reply: where the executor's billing atomics land.
 struct RegisterOkMsg {
+  static constexpr MsgType kType = MsgType::RegisterOk;
   std::uint16_t rm_rdma_port = 0;     ///< where executors connect for billing atomics
   std::uint64_t billing_addr = 0;     ///< base of the billing counter array
   std::uint32_t billing_rkey = 0;     ///< rkey of the billing counter array
   std::uint64_t request_id = 0;       ///< echoes RegisterExecutorMsg::request_id
+  static constexpr auto fields() {
+    using M = RegisterOkMsg;
+    return std::tuple{&M::rm_rdma_port, &M::billing_addr, &M::billing_rkey, &M::request_id};
+  }
 };
 
 /// One lease acquisition (Sec. III-C): "clients acquire leases by
 /// requesting the desired core count, memory, and timeout". Grants may be
 /// partial; clients aggregate (or use BatchAllocateMsg).
 struct LeaseRequestMsg {
+  static constexpr MsgType kType = MsgType::LeaseRequest;
   std::uint32_t client_id = 0;     ///< billing tenant of the requester
   std::uint32_t workers = 0;       ///< requested function instances
   std::uint64_t memory_bytes = 0;  ///< per-worker memory
   Duration timeout = 0;            ///< lease validity
   std::uint64_t request_id = 0;    ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = LeaseRequestMsg;
+    return std::tuple{&M::client_id, &M::workers, &M::memory_bytes, &M::timeout, &M::request_id};
+  }
 };
 
 /// A granted lease: where to allocate the sandbox and until when the
 /// capacity is held. Lease ids are shard-tagged (high 16 bits) under a
 /// sharded manager.
 struct LeaseGrantMsg {
+  static constexpr MsgType kType = MsgType::LeaseGrant;
   std::uint64_t lease_id = 0;   ///< shard-tagged lease identifier
   std::uint32_t device = 0;     ///< fabric device of the granted executor
   std::uint16_t alloc_port = 0; ///< its lightweight allocator's TCP port
@@ -184,10 +205,32 @@ struct LeaseGrantMsg {
   std::uint32_t workers = 0;    ///< workers granted on this executor
   Time expires_at = 0;          ///< lease deadline (renewable via ExtendLease)
   std::uint64_t request_id = 0; ///< echoes LeaseRequestMsg::request_id
+  /// The grant without its request id: the element layout of
+  /// BatchGrantedMsg::grants.
+  static constexpr auto body() {
+    using M = LeaseGrantMsg;
+    return std::tuple{&M::lease_id, &M::device,  &M::alloc_port,
+                      &M::rdma_port, &M::workers, &M::expires_at};
+  }
+  static constexpr auto fields() {
+    return std::tuple_cat(body(), std::tuple{&LeaseGrantMsg::request_id});
+  }
+};
+
+/// Refusal of a lease-plane request (or of a malformed executor-manager
+/// request), with a human-readable reason.
+struct LeaseErrorMsg {
+  static constexpr MsgType kType = MsgType::LeaseError;
+  std::string reason;
+  std::uint64_t request_id = 0;  ///< echoes the refused request's id (0 = legacy)
+  static constexpr auto fields() {
+    return std::tuple{&LeaseErrorMsg::reason, &LeaseErrorMsg::request_id};
+  }
 };
 
 /// Sandbox allocation on the leased executor (A2 in the cold-start path).
 struct AllocationRequestMsg {
+  static constexpr MsgType kType = MsgType::AllocationRequest;
   std::uint64_t lease_id = 0;    ///< the backing lease
   std::uint32_t client_id = 0;   ///< billing tenant
   std::uint32_t workers = 0;     ///< worker threads to spawn
@@ -196,14 +239,24 @@ struct AllocationRequestMsg {
   std::uint8_t policy = 0;       ///< InvocationPolicy
   Duration hot_timeout = 0;      ///< Adaptive rollback timeout (0 = default)
   Time expires_at = 0;           ///< lease expiry (sandbox self-destructs)
+  static constexpr auto fields() {
+    using M = AllocationRequestMsg;
+    return std::tuple{&M::lease_id, &M::client_id, &M::workers, &M::memory_bytes, &M::sandbox,
+                      &M::policy, &M::hot_timeout, &M::expires_at};
+  }
 };
 
 /// Early return of leased capacity to the resource manager.
 struct ReleaseResourcesMsg {
+  static constexpr MsgType kType = MsgType::ReleaseResources;
   std::uint64_t lease_id = 0;     ///< lease being released
   std::uint32_t workers = 0;      ///< workers coming back
   std::uint64_t memory_bytes = 0; ///< memory coming back
   std::uint64_t request_id = 0;   ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = ReleaseResourcesMsg;
+    return std::tuple{&M::lease_id, &M::workers, &M::memory_bytes, &M::request_id};
+  }
 };
 
 /// Acknowledges a ReleaseResourcesMsg carrying a nonzero request id, so
@@ -211,23 +264,38 @@ struct ReleaseResourcesMsg {
 /// fire-and-forget and receive no ack; a release lost on the wire is
 /// then reclaimed by the manager's lease-expiry sweep instead.
 struct ReleaseOkMsg {
+  static constexpr MsgType kType = MsgType::ReleaseOk;
   std::uint64_t lease_id = 0;
   std::uint64_t request_id = 0;  ///< echoes ReleaseResourcesMsg::request_id
+  static constexpr auto fields() {
+    using M = ReleaseOkMsg;
+    return std::tuple{&M::lease_id, &M::request_id};
+  }
 };
 
 /// Lease renewal: extends a live lease by `extension` from now. Granted
 /// leases are time-limited; long-running clients renew instead of paying
 /// a fresh placement.
 struct ExtendLeaseMsg {
+  static constexpr MsgType kType = MsgType::ExtendLease;
   std::uint64_t lease_id = 0;
   Duration extension = 0;
   std::uint64_t request_id = 0;  ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = ExtendLeaseMsg;
+    return std::tuple{&M::lease_id, &M::extension, &M::request_id};
+  }
 };
 
 struct ExtendOkMsg {
+  static constexpr MsgType kType = MsgType::ExtendOk;
   std::uint64_t lease_id = 0;
   Time expires_at = 0;           ///< the new deadline
   std::uint64_t request_id = 0;  ///< echoes ExtendLeaseMsg::request_id
+  static constexpr auto fields() {
+    using M = ExtendOkMsg;
+    return std::tuple{&M::lease_id, &M::expires_at, &M::request_id};
+  }
 };
 
 /// Fulfillment contract of a batched allocation (BatchAllocateMsg::mode).
@@ -241,12 +309,18 @@ enum class BatchMode : std::uint8_t {
 /// sharded manager, across shards. Replaces the serial client loop of
 /// one LeaseRequest per partial grant (Sec. III-D) for wide allocations.
 struct BatchAllocateMsg {
+  static constexpr MsgType kType = MsgType::BatchAllocate;
   std::uint32_t client_id = 0;
   std::uint32_t workers = 0;       ///< total function instances wanted
   std::uint64_t memory_bytes = 0;  ///< per-worker memory
   Duration timeout = 0;            ///< validity of every granted lease
   std::uint8_t mode = 0;           ///< BatchMode
   std::uint64_t request_id = 0;    ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = BatchAllocateMsg;
+    return std::tuple{&M::client_id, &M::workers, &M::memory_bytes, &M::timeout, &M::mode,
+                      &M::request_id};
+  }
 };
 
 /// Reply to BatchAllocateMsg: the granted leases (possibly spanning
@@ -254,18 +328,28 @@ struct BatchAllocateMsg {
 /// was only partially satisfiable — under AllOrNothing the grant list is
 /// then empty and every provisional lease has been released.
 struct BatchGrantedMsg {
+  static constexpr MsgType kType = MsgType::BatchGranted;
   bool complete = false;
   std::vector<LeaseGrantMsg> grants;
   std::string error;             ///< set when `grants` is empty
   std::uint64_t request_id = 0;  ///< echoes BatchAllocateMsg::request_id
+  static constexpr auto fields() {
+    using M = BatchGrantedMsg;
+    return std::tuple{&M::complete, &M::grants, &M::error, &M::request_id};
+  }
 };
 
 /// Push notification from the resource manager to the executor manager
 /// that hosts a renewed lease: the sandbox deadline moves to the new
 /// expiry, so renewal stays a single client<->manager round trip.
 struct LeaseRenewedMsg {
+  static constexpr MsgType kType = MsgType::LeaseRenewed;
   std::uint64_t lease_id = 0;
   Time expires_at = 0;  ///< the renewed deadline
+  static constexpr auto fields() {
+    using M = LeaseRenewedMsg;
+    return std::tuple{&M::lease_id, &M::expires_at};
+  }
 };
 
 /// Why the resource manager refused to even process a request.
@@ -286,9 +370,14 @@ const char* to_string(DenialReason r);
 /// exponential backoff. Fixed layout, hot under overload by definition —
 /// rides the zero-allocation fast path like LeaseGrant.
 struct LeaseDeniedMsg {
+  static constexpr MsgType kType = MsgType::LeaseDenied;
   std::uint8_t reason = 0;       ///< DenialReason
   Duration retry_after = 0;      ///< backoff hint (0 = none)
   std::uint64_t request_id = 0;  ///< echoes the denied request's id
+  static constexpr auto fields() {
+    using M = LeaseDeniedMsg;
+    return std::tuple{&M::reason, &M::retry_after, &M::request_id};
+  }
 };
 
 /// Why the resource manager reclaimed a lease ahead of its deadline.
@@ -307,10 +396,15 @@ const char* to_string(TerminationReason r);
 /// transparently re-allocates. `evicted_at` is the manager's decision
 /// timestamp, so receivers can report end-to-end reclamation latency.
 struct LeaseTerminatedMsg {
+  static constexpr MsgType kType = MsgType::LeaseTerminated;
   std::uint64_t lease_id = 0;
   std::uint8_t reason = 0;  ///< TerminationReason
   Time evicted_at = 0;      ///< when the manager made the eviction decision
   std::uint64_t seq = 0;    ///< per-stream push sequence (0 = legacy)
+  static constexpr auto fields() {
+    using M = LeaseTerminatedMsg;
+    return std::tuple{&M::lease_id, &M::reason, &M::evicted_at, &M::seq};
+  }
 };
 
 /// Coalesced fast reclamation: one eviction sweep may terminate many
@@ -320,10 +414,15 @@ struct LeaseTerminatedMsg {
 /// and decision timestamp are shared — a sweep has one cause and one
 /// decision point.
 struct LeasesTerminatedMsg {
+  static constexpr MsgType kType = MsgType::LeasesTerminated;
   std::uint8_t reason = 0;  ///< TerminationReason
   Time evicted_at = 0;      ///< when the manager made the eviction decision
   std::vector<std::uint64_t> lease_ids;
   std::uint64_t seq = 0;    ///< per-stream push sequence (0 = legacy)
+  static constexpr auto fields() {
+    using M = LeasesTerminatedMsg;
+    return std::tuple{&M::reason, &M::evicted_at, &M::lease_ids, &M::seq};
+  }
 };
 
 /// Opens a notification stream: the client sends this once on a dedicated
@@ -331,7 +430,9 @@ struct LeasesTerminatedMsg {
 /// owned by `client_id`. Keeping pushes off the request stream preserves
 /// its strict request-response discipline.
 struct SubscribeEventsMsg {
+  static constexpr MsgType kType = MsgType::SubscribeEvents;
   std::uint32_t client_id = 0;
+  static constexpr auto fields() { return std::tuple{&SubscribeEventsMsg::client_id}; }
 };
 
 /// One entry of the manager's replicated lease-state log (rfaas/journal.hpp):
@@ -343,6 +444,7 @@ struct SubscribeEventsMsg {
 /// detected at the first bad record. Hot on every grant — rides the
 /// zero-allocation fast path.
 struct JournalRecordMsg {
+  static constexpr MsgType kType = MsgType::JournalRecord;
   std::uint64_t seq = 0;       ///< monotonically increasing log position (1-based)
   std::uint8_t op = 0;         ///< journal::Op discriminator
   std::uint64_t lease_id = 0;  ///< shard-tagged lease id (lease ops)
@@ -354,6 +456,11 @@ struct JournalRecordMsg {
   std::uint64_t aux = 0;       ///< op-specific (flags, packed endpoint, peer id)
   std::uint64_t aux2 = 0;      ///< op-specific (packed epoch|cores)
   std::uint64_t checksum = 0;  ///< chained integrity checksum
+  static constexpr auto fields() {
+    using M = JournalRecordMsg;
+    return std::tuple{&M::seq, &M::op, &M::lease_id, &M::client_id, &M::executor, &M::workers,
+                      &M::memory, &M::time, &M::aux, &M::aux2, &M::checksum};
+  }
 };
 
 /// Header of a snapshot transfer to a (re)attaching standby: the state it
@@ -361,10 +468,15 @@ struct JournalRecordMsg {
 /// must match the installed state's digest — a torn or stale snapshot is
 /// rejected before any record is replayed on top of it.
 struct SnapshotOfferMsg {
+  static constexpr MsgType kType = MsgType::SnapshotOffer;
   std::uint32_t manager_epoch = 0; ///< epoch of the snapshotting primary
   std::uint64_t upto_seq = 0;      ///< journal position the snapshot covers
   std::uint64_t digest = 0;        ///< ManagerState::digest() of the snapshot
   std::uint64_t lease_count = 0;   ///< live leases in the snapshot (sanity)
+  static constexpr auto fields() {
+    using M = SnapshotOfferMsg;
+    return std::tuple{&M::manager_epoch, &M::upto_seq, &M::digest, &M::lease_count};
+  }
 };
 
 /// Pushed by a freshly promoted manager on every (re)subscribed
@@ -373,9 +485,14 @@ struct SnapshotOfferMsg {
 /// the dead primary after its last journaled record, or by a fenced
 /// zombie, fail re-validation and flow into the self-healing path.
 struct FailoverAnnounceMsg {
+  static constexpr MsgType kType = MsgType::FailoverAnnounce;
   std::uint32_t manager_epoch = 0; ///< epoch of the announcing manager
   std::uint64_t applied_seq = 0;   ///< last journal record the standby replayed
   Time promoted_at = 0;            ///< when the standby took over
+  static constexpr auto fields() {
+    using M = FailoverAnnounceMsg;
+    return std::tuple{&M::manager_epoch, &M::applied_seq, &M::promoted_at};
+  }
 };
 
 /// Client-side lease audit after a failover: "do you still honour this
@@ -384,9 +501,14 @@ struct FailoverAnnounceMsg {
 /// then treats it as lost and heals. Hot during reconnect storms — rides
 /// the zero-allocation fast path.
 struct LeaseRevalidateMsg {
+  static constexpr MsgType kType = MsgType::LeaseRevalidate;
   std::uint32_t client_id = 0;   ///< owning tenant presented for the audit
   std::uint64_t lease_id = 0;    ///< lease being re-validated
   std::uint64_t request_id = 0;  ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = LeaseRevalidateMsg;
+    return std::tuple{&M::client_id, &M::lease_id, &M::request_id};
+  }
 };
 
 /// Best-effort cancellation of an in-flight invocation, sent on the
@@ -398,9 +520,14 @@ struct LeaseRevalidateMsg {
 /// absorbs the loser's reply). Fixed layout — rides the zero-allocation
 /// fast path since it fires on the invocation hot path.
 struct InvocationCancelMsg {
+  static constexpr MsgType kType = MsgType::InvocationCancel;
   std::uint32_t client_id = 0;       ///< cancelling tenant
   std::uint64_t invocation_tag = 0;  ///< (epoch << 32) | seq of the doomed invocation
   std::uint64_t request_id = 0;      ///< unused for matching (fire-and-forget); 0 ok
+  static constexpr auto fields() {
+    using M = InvocationCancelMsg;
+    return std::tuple{&M::client_id, &M::invocation_tag, &M::request_id};
+  }
 };
 
 /// Client-observed executor health, pushed to the resource manager when a
@@ -410,73 +537,71 @@ struct InvocationCancelMsg {
 /// and drains it outright after `quarantine_trips` distinct trips.
 /// Fixed layout — health reports spike exactly when the fleet is sick.
 struct HealthReportMsg {
+  static constexpr MsgType kType = MsgType::HealthReport;
   std::uint32_t client_id = 0;    ///< reporting tenant
   std::uint32_t device = 0;       ///< fabric device of the suspect executor
   std::uint32_t latency_us = 0;   ///< EWMA invocation latency observed (µs)
   std::uint32_t ok_count = 0;     ///< successful invocations in this window
   std::uint32_t fail_count = 0;   ///< timeouts/corruptions in this window
   std::uint64_t request_id = 0;   ///< retransmission dedup id (0 = legacy)
+  static constexpr auto fields() {
+    using M = HealthReportMsg;
+    return std::tuple{&M::client_id, &M::device, &M::latency_us, &M::ok_count, &M::fail_count,
+                      &M::request_id};
+  }
 };
 
 /// Acknowledges a HealthReportMsg so the reporter can stop retransmitting.
 struct HealthReportOkMsg {
+  static constexpr MsgType kType = MsgType::HealthReportOk;
   std::uint64_t request_id = 0;  ///< echoes HealthReportMsg::request_id
+  static constexpr auto fields() { return std::tuple{&HealthReportOkMsg::request_id}; }
 };
 
 /// Allocation outcome from the lightweight allocator.
 struct AllocationReplyMsg {
+  static constexpr MsgType kType = MsgType::AllocationReply;
   bool ok = false;               ///< sandbox up and workers spawned
   std::uint64_t sandbox_id = 0;  ///< handle for code submission/deallocation
   std::uint16_t rdma_port = 0;   ///< port workers accept on
   std::uint64_t spawn_ns = 0;    ///< measured sandbox+worker spawn time
   std::string error;             ///< failure reason when !ok
+  static constexpr auto fields() {
+    using M = AllocationReplyMsg;
+    return std::tuple{&M::ok, &M::sandbox_id, &M::rdma_port, &M::spawn_ns, &M::error};
+  }
 };
 
 /// Code-submission acknowledgement.
 struct SubmitCodeOkMsg {
+  static constexpr MsgType kType = MsgType::SubmitCodeOk;
   std::uint16_t fn_index = 0;  ///< index in the sandbox's function table
+  static constexpr auto fields() { return std::tuple{&SubmitCodeOkMsg::fn_index}; }
 };
 
 /// Function-code shipping into a live sandbox (padded to the library
 /// size on the wire, so the transfer cost is real).
 struct SubmitCodeMsg {
+  static constexpr MsgType kType = MsgType::SubmitCode;
   std::uint64_t sandbox_id = 0; ///< target sandbox
   std::string function_name;    ///< registry name of the function package
   std::uint64_t code_size = 0;  ///< shipped library size (bytes on the wire)
+  static constexpr auto fields() {
+    using M = SubmitCodeMsg;
+    return std::tuple{&M::sandbox_id, &M::function_name, &M::code_size};
+  }
 };
 
 /// Sandbox teardown; the executor returns the lease to the manager.
 struct DeallocateMsg {
+  static constexpr MsgType kType = MsgType::Deallocate;
   std::uint64_t sandbox_id = 0; ///< sandbox to tear down
   std::uint64_t lease_id = 0;   ///< its backing lease
+  static constexpr auto fields() {
+    using M = DeallocateMsg;
+    return std::tuple{&M::sandbox_id, &M::lease_id};
+  }
 };
-
-// ---------------------------------------------------------------------------
-// Zero-allocation fast path (fig16). The hot control-plane messages —
-// LeaseRequest, LeaseGrant, ExtendLease, ExtendOk — have fixed-layout
-// bodies, so they encode into a caller-provided buffer and decode from a
-// span with a single bounds check and no heap traffic. (The data-plane
-// Invoke message was always allocation-free: InvocationHeader::pack into
-// the registered buffer plus the packed immediate of Imm.) The Bytes
-// encode()/decode_*() entry points below remain the general API; for
-// these four messages they are thin wrappers over the fast path, so the
-// wire format is byte-identical and the protocol-fuzz suite covers both.
-// ---------------------------------------------------------------------------
-
-/// Fixed wire sizes (envelope type byte included) of the hot messages.
-/// The trailing 8 bytes of each are the request id.
-inline constexpr std::size_t kLeaseRequestWireSize = 1 + 4 + 4 + 8 + 8 + 8;
-inline constexpr std::size_t kLeaseGrantWireSize = 1 + 8 + 4 + 2 + 2 + 4 + 8 + 8;
-inline constexpr std::size_t kExtendLeaseWireSize = 1 + 8 + 8 + 8;
-inline constexpr std::size_t kExtendOkWireSize = 1 + 8 + 8 + 8;
-inline constexpr std::size_t kLeaseDeniedWireSize = 1 + 1 + 8 + 8;
-inline constexpr std::size_t kJournalRecordWireSize = 1 + 8 + 1 + 8 + 4 + 8 + 4 + 8 + 8 + 8 + 8 + 8;
-inline constexpr std::size_t kSnapshotOfferWireSize = 1 + 4 + 8 + 8 + 8;
-inline constexpr std::size_t kFailoverAnnounceWireSize = 1 + 4 + 8 + 8;
-inline constexpr std::size_t kLeaseRevalidateWireSize = 1 + 4 + 8 + 8;
-inline constexpr std::size_t kInvocationCancelWireSize = 1 + 4 + 8 + 8;
-inline constexpr std::size_t kHealthReportWireSize = 1 + 4 + 4 + 4 + 4 + 4 + 8;
-inline constexpr std::size_t kHealthReportOkWireSize = 1 + 8;
 
 // ---------------------------------------------------------------------------
 // Invocation data-plane frames (fig18). The submit frame is the 32-byte
@@ -520,86 +645,200 @@ Result<InvocationFrame> decode_invocation_frame(std::span<const std::uint8_t> bu
 /// Decodes a result completion (immediate + byte count).
 InvocationResponse decode_invocation_response(const fabric::Wc& wc);
 
-/// Encodes into `out` (caller-provided, no allocation). Returns the
-/// bytes written — the message's wire size — or 0 when `capacity` is too
-/// small.
-std::size_t encode_into(const LeaseRequestMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const LeaseGrantMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const ExtendLeaseMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const ExtendOkMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const LeaseDeniedMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const JournalRecordMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const SnapshotOfferMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const FailoverAnnounceMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const LeaseRevalidateMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const InvocationCancelMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const HealthReportMsg& m, std::uint8_t* out, std::size_t capacity);
-std::size_t encode_into(const HealthReportOkMsg& m, std::uint8_t* out, std::size_t capacity);
-
-/// Envelope: [u8 type][payload...]. Each payload codec is explicit; this
-/// is a real wire format, not in-memory object passing.
+/// Envelope of a bodyless message: the type byte alone.
 Bytes encode(MsgType type);
-Bytes encode(const RegisterExecutorMsg& m);
-Bytes encode(const RegisterOkMsg& m);
-Bytes encode(const LeaseRequestMsg& m);
-Bytes encode(const LeaseGrantMsg& m);
-Bytes encode_lease_error(const std::string& reason, std::uint64_t request_id = 0);
-Bytes encode(const AllocationRequestMsg& m);
-Bytes encode(const AllocationReplyMsg& m);
-Bytes encode(const SubmitCodeMsg& m);
-Bytes encode(const SubmitCodeOkMsg& m);
-Bytes encode(const DeallocateMsg& m);
-Bytes encode(const ReleaseResourcesMsg& m);
-Bytes encode(const ReleaseOkMsg& m);
-Bytes encode(const ExtendLeaseMsg& m);
-Bytes encode(const ExtendOkMsg& m);
-Bytes encode(const BatchAllocateMsg& m);
-Bytes encode(const BatchGrantedMsg& m);
-Bytes encode(const LeaseRenewedMsg& m);
-Bytes encode(const LeaseTerminatedMsg& m);
-Bytes encode(const LeasesTerminatedMsg& m);
-Bytes encode(const SubscribeEventsMsg& m);
-Bytes encode(const LeaseDeniedMsg& m);
-Bytes encode(const JournalRecordMsg& m);
-Bytes encode(const SnapshotOfferMsg& m);
-Bytes encode(const FailoverAnnounceMsg& m);
-Bytes encode(const LeaseRevalidateMsg& m);
-Bytes encode(const InvocationCancelMsg& m);
-Bytes encode(const HealthReportMsg& m);
-Bytes encode(const HealthReportOkMsg& m);
 
+/// The message kind of a received frame (its first byte).
 Result<MsgType> peek_type(const Bytes& raw);
-Result<RegisterExecutorMsg> decode_register(const Bytes& raw);
-Result<RegisterOkMsg> decode_register_ok(const Bytes& raw);
-// Hot-path decoders take a span (no Bytes required — a stack buffer or a
-// network scatter entry decodes without copying); Bytes converts
-// implicitly, so existing call sites are unchanged.
-Result<LeaseRequestMsg> decode_lease_request(std::span<const std::uint8_t> raw);
-Result<LeaseGrantMsg> decode_lease_grant(std::span<const std::uint8_t> raw);
-Result<std::string> decode_lease_error(const Bytes& raw);
-Result<AllocationRequestMsg> decode_allocation_request(const Bytes& raw);
-Result<AllocationReplyMsg> decode_allocation_reply(const Bytes& raw);
-Result<SubmitCodeMsg> decode_submit_code(const Bytes& raw);
-Result<SubmitCodeOkMsg> decode_submit_code_ok(const Bytes& raw);
-Result<DeallocateMsg> decode_deallocate(const Bytes& raw);
-Result<ReleaseResourcesMsg> decode_release(const Bytes& raw);
-Result<ReleaseOkMsg> decode_release_ok(const Bytes& raw);
-Result<ExtendLeaseMsg> decode_extend_lease(std::span<const std::uint8_t> raw);
-Result<ExtendOkMsg> decode_extend_ok(std::span<const std::uint8_t> raw);
-Result<BatchAllocateMsg> decode_batch_allocate(const Bytes& raw);
-Result<BatchGrantedMsg> decode_batch_granted(const Bytes& raw);
-Result<LeaseRenewedMsg> decode_lease_renewed(const Bytes& raw);
-Result<LeaseTerminatedMsg> decode_lease_terminated(const Bytes& raw);
-Result<LeasesTerminatedMsg> decode_leases_terminated(const Bytes& raw);
-Result<SubscribeEventsMsg> decode_subscribe_events(const Bytes& raw);
-Result<LeaseDeniedMsg> decode_lease_denied(std::span<const std::uint8_t> raw);
-Result<JournalRecordMsg> decode_journal_record(std::span<const std::uint8_t> raw);
-Result<SnapshotOfferMsg> decode_snapshot_offer(std::span<const std::uint8_t> raw);
-Result<FailoverAnnounceMsg> decode_failover_announce(std::span<const std::uint8_t> raw);
-Result<LeaseRevalidateMsg> decode_lease_revalidate(std::span<const std::uint8_t> raw);
-Result<InvocationCancelMsg> decode_invocation_cancel(std::span<const std::uint8_t> raw);
-Result<HealthReportMsg> decode_health_report(std::span<const std::uint8_t> raw);
-Result<HealthReportOkMsg> decode_health_report_ok(std::span<const std::uint8_t> raw);
+
+// ---------------------------------------------------------------------------
+// One codec for every control message. Each message struct states its wire
+// layout once, next to its members: `kType` (the envelope's type byte) and
+// `fields()`, the members in wire order. encode, encode_into and decode
+// below are generic over that list; no message has codec code of its own.
+//
+// Frame: [u8 type][fields...], little-endian. Integers take their own
+// width, bool one byte, std::string a u32 length plus the bytes,
+// std::vector a u32 count plus the elements, and a struct element its
+// `body()` fields. Decoding bounds-checks every read, tolerates trailing
+// bytes (SubmitCode is padded to the library size) and never reserves
+// from a count read off the wire, so a corrupted count fails on the reads
+// instead of allocating. A message of integers only has a constant
+// `wire_size` and encodes into a caller buffer with no heap traffic.
+//
+// How to add a message:
+//   1. add its kind to MsgType, before Count;
+//   2. declare its struct with `kType` and `fields()` above;
+//   3. add the struct to the type list of tests/protocol_fuzz_test.cpp.
+// ---------------------------------------------------------------------------
+
+/// A control message: a struct naming its MsgType and its wire fields.
+template <class M>
+concept WireMessage = requires {
+  { M::kType } -> std::convertible_to<MsgType>;
+  M::fields();
+};
+
+namespace codec {
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class E>
+inline constexpr bool kIsVector<std::vector<E>> = true;
+
+template <class P>
+struct MemberType;
+template <class C, class T>
+struct MemberType<T C::*> {
+  using type = T;
+};
+
+template <class P>
+using Member = typename MemberType<P>::type;
+
+/// True when every field of M is an integer (or bool): the size is constant.
+template <class M>
+inline constexpr bool kFixed = std::apply(
+    [](auto... f) { return (std::is_arithmetic_v<Member<decltype(f)>> && ...); }, M::fields());
+
+/// Wire size, type byte included, of an integers-only message M.
+template <class M>
+constexpr std::size_t fixed_size() {
+  static_assert(kFixed<M>, "only a message of integers has a constant wire size");
+  return std::apply([](auto... f) { return (std::size_t{1} + ... + sizeof(Member<decltype(f)>)); },
+                    M::fields());
+}
+
+/// Bytes `v` takes on the wire.
+template <class T>
+std::size_t field_size(const T& v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return 4 + v.size();
+  } else if constexpr (kIsVector<T>) {
+    std::size_t n = 4;
+    for (const auto& e : v) n += field_size(e);
+    return n;
+  } else {
+    return std::apply([&](auto... f) { return (std::size_t{0} + ... + field_size(v.*f)); },
+                      T::body());
+  }
+}
+
+/// Writes `v` at `p` (the caller sized the buffer); returns the end.
+template <class T>
+std::uint8_t* put(std::uint8_t* p, const T& v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    std::memcpy(p, &v, sizeof(T));
+    return p + sizeof(T);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    p = put(p, static_cast<std::uint32_t>(v.size()));
+    std::memcpy(p, v.data(), v.size());
+    return p + v.size();
+  } else if constexpr (kIsVector<T>) {
+    p = put(p, static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) p = put(p, e);
+    return p;
+  } else {
+    std::apply([&](auto... f) { ((p = put(p, v.*f)), ...); }, T::body());
+    return p;
+  }
+}
+
+/// The unread rest of a received frame.
+struct Reader {
+  const std::uint8_t* p;
+  const std::uint8_t* end;
+  [[nodiscard]] std::size_t left() const { return static_cast<std::size_t>(end - p); }
+};
+
+/// Reads `v`; false when the frame ends first.
+template <class T>
+bool get(Reader& r, T& v) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    if (r.left() < sizeof(T)) return false;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = *r.p != 0;
+    } else {
+      std::memcpy(&v, r.p, sizeof(T));
+    }
+    r.p += sizeof(T);
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    std::uint32_t n = 0;
+    if (!get(r, n) || r.left() < n) return false;
+    v.assign(reinterpret_cast<const char*>(r.p), n);
+    r.p += n;
+    return true;
+  } else if constexpr (kIsVector<T>) {
+    std::uint32_t n = 0;
+    if (!get(r, n)) return false;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (!get(r, v.emplace_back())) return false;
+    }
+    return true;
+  } else {
+    return std::apply([&](auto... f) { return (get(r, v.*f) && ...); }, T::body());
+  }
+}
+
+/// Encoded size of the frame of `m`, type byte included.
+template <class M>
+std::size_t frame_size(const M& m) {
+  if constexpr (kFixed<M>) {
+    return fixed_size<M>();
+  } else {
+    return std::apply([&](auto... f) { return (std::size_t{1} + ... + field_size(m.*f)); },
+                      M::fields());
+  }
+}
+
+template <class M>
+void write(const M& m, std::uint8_t* out) {
+  *out = static_cast<std::uint8_t>(M::kType);
+  std::uint8_t* p = out + 1;
+  std::apply([&](auto... f) { ((p = put(p, m.*f)), ...); }, M::fields());
+}
+
+}  // namespace codec
+
+/// Wire size, type byte included, of a message whose fields are all
+/// integers.
+template <WireMessage M>
+inline constexpr std::size_t wire_size = codec::fixed_size<M>();
+
+/// Encodes `m` into `out` (caller-provided, no allocation). Returns the
+/// bytes written, or 0 when `capacity` is too small.
+template <WireMessage M>
+std::size_t encode_into(const M& m, std::uint8_t* out, std::size_t capacity) {
+  const std::size_t n = codec::frame_size(m);
+  if (capacity < n) return 0;
+  codec::write(m, out);
+  return n;
+}
+
+/// Encodes `m` into a frame sized once, with one allocation.
+template <WireMessage M>
+Bytes encode(const M& m) {
+  Bytes b(codec::frame_size(m));
+  codec::write(m, b.data());
+  return b;
+}
+
+/// Decodes a frame of type M from `raw` (a Bytes, a stack buffer or a
+/// network scatter entry). Fails on a wrong type byte or a truncated body.
+template <WireMessage M>
+Result<M> decode(std::span<const std::uint8_t> raw) {
+  if (!raw.empty() && raw[0] == static_cast<std::uint8_t>(M::kType)) {
+    M m;
+    codec::Reader r{raw.data() + 1, raw.data() + raw.size()};
+    if (std::apply([&](auto... f) { return (codec::get(r, m.*f) && ...); }, M::fields())) {
+      return m;
+    }
+  }
+  return Error::make(22, "protocol: malformed message");
+}
 
 /// True for message types that answer a request (and so echo its id):
 /// LeaseGrant, LeaseError, LeaseDenied, ExtendOk, BatchGranted,

@@ -59,7 +59,7 @@ Status StandbyReplica::apply(const JournalRecordMsg& record) {
 }
 
 Status StandbyReplica::apply_wire(std::span<const std::uint8_t> raw) {
-  auto record = decode_journal_record(raw);
+  auto record = decode<JournalRecordMsg>(raw);
   if (!record) return record.error();
   return apply(record.value());
 }

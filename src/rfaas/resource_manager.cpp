@@ -218,7 +218,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
     if (!type) continue;
     switch (type.value()) {
       case MsgType::RegisterExecutor: {
-        auto msg = decode_register(*raw);
+        auto msg = decode<RegisterExecutorMsg>(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         if (msg.value().epoch != 0) {
@@ -232,8 +232,8 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
             if (msg.value().epoch <= it->second.epoch) {
               ++fenced_registrations_;
               reply_cached(msg.value().request_id,
-                           encode_lease_error("stale registration epoch",
-                                              msg.value().request_id));
+                           encode(LeaseErrorMsg{"stale registration epoch",
+                                              msg.value().request_id}));
               break;
             }
             // Failover re-attachment: on a promoted manager the device's
@@ -280,9 +280,9 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         break;
       }
       case MsgType::LeaseRequest: {
-        auto msg = decode_lease_request(*raw);
+        auto msg = decode<LeaseRequestMsg>(*raw);
         if (!msg) {
-          stream->send(encode_lease_error(msg.error().message));
+          stream->send(encode(LeaseErrorMsg{msg.error().message}));
           break;
         }
         if (replay_duplicate(msg.value().request_id)) break;
@@ -340,13 +340,13 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         break;
       }
       case MsgType::ExtendLease: {
-        auto msg = decode_extend_lease(*raw);
+        auto msg = decode<ExtendLeaseMsg>(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         const std::uint32_t shard = ShardedResourceManager::id_shard(msg.value().lease_id);
         if (shard >= core_.shard_count()) {
           reply_cached(msg.value().request_id,
-                       encode_lease_error("unknown lease", msg.value().request_id));
+                       encode(LeaseErrorMsg{"unknown lease", msg.value().request_id}));
           break;
         }
         auto& gate = *grant_gates_[shard];
@@ -372,14 +372,14 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
           }
         } else {
           reply_cached(msg.value().request_id,
-                       encode_lease_error("unknown lease", msg.value().request_id));
+                       encode(LeaseErrorMsg{"unknown lease", msg.value().request_id}));
         }
         break;
       }
       case MsgType::BatchAllocate: {
-        auto msg = decode_batch_allocate(*raw);
+        auto msg = decode<BatchAllocateMsg>(*raw);
         if (!msg) {
-          stream->send(encode_lease_error(msg.error().message));
+          stream->send(encode(LeaseErrorMsg{msg.error().message}));
           break;
         }
         if (replay_duplicate(msg.value().request_id)) break;
@@ -416,7 +416,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         break;
       }
       case MsgType::ReleaseResources: {
-        auto msg = decode_release(*raw);
+        auto msg = decode<ReleaseResourcesMsg>(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         core_.release(msg.value().lease_id);
@@ -439,7 +439,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         break;
       }
       case MsgType::SubscribeEvents: {
-        auto msg = decode_subscribe_events(*raw);
+        auto msg = decode<SubscribeEventsMsg>(*raw);
         if (!msg) break;
         // Latest subscription wins; the stream carries only pushes from
         // here on, so the client's request stream stays request-response.
@@ -462,7 +462,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         // manager still carry this lease for this client? Read-only —
         // ExtendOk echoes the current deadline, LeaseError tells the
         // client to drop the lease and heal through re-allocation.
-        auto msg = decode_lease_revalidate(*raw);
+        auto msg = decode<LeaseRevalidateMsg>(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         ++revalidations_;
@@ -475,7 +475,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
           reply_cached(msg.value().request_id, encode(ok));
         } else {
           reply_cached(msg.value().request_id,
-                       encode_lease_error("unknown lease", msg.value().request_id));
+                       encode(LeaseErrorMsg{"unknown lease", msg.value().request_id}));
         }
         break;
       }
@@ -487,7 +487,7 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
         // degrade the executor so every scheduling policy deprioritizes
         // it; `quarantine_trips` distinct trips drain it outright
         // (evicting its leases, whose owners self-heal elsewhere).
-        auto msg = decode_health_report(*raw);
+        auto msg = decode<HealthReportMsg>(*raw);
         if (!msg) break;
         if (replay_duplicate(msg.value().request_id)) break;
         ++health_reports_;
@@ -522,8 +522,8 @@ sim::Task<void> ResourceManager::handle_stream(std::shared_ptr<net::TcpStream> s
 
 Bytes ResourceManager::grant_lease(const LeaseRequestMsg& req, std::uint32_t client_locality,
                                    std::uint32_t shard, bool& stolen) {
-  if (core_.size() == 0) return encode_lease_error("no executors registered", req.request_id);
-  if (req.workers == 0) return encode_lease_error("zero workers requested", req.request_id);
+  if (core_.size() == 0) return encode(LeaseErrorMsg{"no executors registered", req.request_id});
+  if (req.workers == 0) return encode(LeaseErrorMsg{"zero workers requested", req.request_id});
 
   ScheduleRequest request;
   request.workers = req.workers;
@@ -531,7 +531,7 @@ Bytes ResourceManager::grant_lease(const LeaseRequestMsg& req, std::uint32_t cli
   request.client_locality = client_locality;
 
   auto grant = core_.grant(request, req.client_id, req.timeout, engine_.now(), shard);
-  if (!grant) return encode_lease_error("no executor with free capacity", req.request_id);
+  if (!grant) return encode(LeaseErrorMsg{"no executor with free capacity", req.request_id});
   stolen = grant->stolen;
 
   LeaseGrantMsg msg;

@@ -126,7 +126,7 @@ sim::Task<void> Session::pump(std::shared_ptr<State> st) {
 void Session::record_completed(State& st, std::uint64_t id, const Bytes& reply) {
   std::uint64_t lease_id = 0;
   if (auto type = peek_type(reply); type && type.value() == MsgType::LeaseGrant) {
-    if (auto grant = decode_lease_grant(reply)) lease_id = grant.value().lease_id;
+    if (auto grant = decode<LeaseGrantMsg>(reply)) lease_id = grant.value().lease_id;
   }
   st.completed.emplace(id, lease_id);
   st.completed_fifo.push_back(id);
@@ -155,7 +155,7 @@ void Session::classify(State& st, Bytes msg) {
       // completed request naming a DIFFERENT lease would be a second
       // grant for one logical request.
       if (type.value() == MsgType::LeaseGrant && it->second != 0) {
-        if (auto grant = decode_lease_grant(msg);
+        if (auto grant = decode<LeaseGrantMsg>(msg);
             grant && grant.value().lease_id != it->second) {
           ++st.double_grants;
         }
@@ -170,9 +170,9 @@ void Session::classify(State& st, Bytes msg) {
   // duplicated deliveries never reach the owner's termination handler.
   std::uint64_t seq = 0;
   if (type.value() == MsgType::LeaseTerminated) {
-    if (auto m = decode_lease_terminated(msg)) seq = m.value().seq;
+    if (auto m = decode<LeaseTerminatedMsg>(msg)) seq = m.value().seq;
   } else if (type.value() == MsgType::LeasesTerminated) {
-    if (auto m = decode_leases_terminated(msg)) seq = m.value().seq;
+    if (auto m = decode<LeasesTerminatedMsg>(msg)) seq = m.value().seq;
   }
   if (seq != 0) {
     if (st.push_seqs.contains(seq)) {

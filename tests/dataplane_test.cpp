@@ -114,7 +114,7 @@ TEST(DataPlaneProtocol, LeasesTerminatedRoundTrip) {
   m.reason = static_cast<std::uint8_t>(TerminationReason::QuotaPressure);
   m.evicted_at = 123456789;
   m.lease_ids = {7, 42, 1ull << 40};
-  auto decoded = decode_leases_terminated(encode(m));
+  auto decoded = decode<LeasesTerminatedMsg>(encode(m));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().reason, m.reason);
   EXPECT_EQ(decoded.value().evicted_at, m.evicted_at);
@@ -127,7 +127,7 @@ TEST(DataPlaneProtocol, LeasesTerminatedRejectsTruncation) {
   Bytes wire = encode(m);
   for (std::size_t cut = 1; cut < wire.size(); ++cut) {
     Bytes truncated(wire.begin(), wire.begin() + cut);
-    EXPECT_FALSE(decode_leases_terminated(truncated).ok()) << "cut=" << cut;
+    EXPECT_FALSE(decode<LeasesTerminatedMsg>(truncated).ok()) << "cut=" << cut;
   }
 }
 

@@ -43,7 +43,7 @@ sim::Task<Result<LeaseGrantMsg>> acquire_one(Session& session, std::uint32_t wor
   req.request_id = session.next_request_id();
   auto raw = co_await session.call(encode(req), req.request_id);
   if (!raw.ok()) co_return raw.error();
-  co_return decode_lease_grant(raw.value());
+  co_return decode<LeaseGrantMsg>(raw.value());
 }
 
 // --------------------------------------------------------------------------
@@ -351,7 +351,7 @@ TEST(BatchWire, AllOrNothingRollsBackAndBestEffortDeliversPartials) {
     auto raw = co_await stream->recv();
     EXPECT_TRUE(raw.has_value());
     if (!raw.has_value()) co_return;
-    auto reply = decode_batch_granted(*raw);
+    auto reply = decode<BatchGrantedMsg>(*raw);
     EXPECT_TRUE(reply.ok());
     if (!reply.ok()) co_return;
     EXPECT_FALSE(reply.value().complete);
@@ -367,7 +367,7 @@ TEST(BatchWire, AllOrNothingRollsBackAndBestEffortDeliversPartials) {
     auto raw2 = co_await stream->recv();
     EXPECT_TRUE(raw2.has_value());
     if (!raw2.has_value()) co_return;
-    auto reply2 = decode_batch_granted(*raw2);
+    auto reply2 = decode<BatchGrantedMsg>(*raw2);
     EXPECT_TRUE(reply2.ok());
     if (!reply2.ok()) co_return;
     EXPECT_FALSE(reply2.value().complete);

@@ -4,12 +4,31 @@
 // different type's fields.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <set>
+#include <tuple>
+
 #include "common/rng.hpp"
 #include "net/http.hpp"
 #include "rfaas/protocol.hpp"
 
 namespace rfs::rfaas {
 namespace {
+
+/// encode(m), checked against encode_into: the same bytes into a buffer
+/// of exactly the encoded size, and nothing written one byte short.
+template <WireMessage M>
+Bytes encode_checked(const M& m) {
+  const Bytes wire = encode(m);
+  Bytes into(wire.size(), 0xA5);
+  EXPECT_EQ(encode_into(m, into.data(), 0), 0u);
+  EXPECT_EQ(encode_into(m, into.data(), into.size() - 1), 0u);
+  EXPECT_EQ(into, Bytes(wire.size(), 0xA5));
+  EXPECT_EQ(encode_into(m, into.data(), into.size()), wire.size());
+  EXPECT_EQ(into, wire);
+  return wire;
+}
 
 std::vector<Bytes> sample_messages() {
   std::vector<Bytes> msgs;
@@ -21,47 +40,47 @@ std::vector<Bytes> sample_messages() {
   reg.memory_bytes = 1ull << 36;
   reg.epoch = 4;
   reg.request_id = (4ull << 32) | 1;
-  msgs.push_back(encode(reg));
-  msgs.push_back(encode(RegisterOkMsg{6001, 0xFEEDFACE, 77, (4ull << 32) | 1}));
-  msgs.push_back(encode(LeaseRequestMsg{9, 16, 1_GiB, 60_s, (1ull << 32) | 9}));
+  msgs.push_back(encode_checked(reg));
+  msgs.push_back(encode_checked(RegisterOkMsg{6001, 0xFEEDFACE, 77, (4ull << 32) | 1}));
+  msgs.push_back(encode_checked(LeaseRequestMsg{9, 16, 1_GiB, 60_s, (1ull << 32) | 9}));
   LeaseGrantMsg grant;
   grant.lease_id = 11;
   grant.workers = 4;
   grant.request_id = (1ull << 32) | 9;
-  msgs.push_back(encode(grant));
-  msgs.push_back(encode_lease_error("nope"));
-  msgs.push_back(encode_lease_error("stale epoch", (2ull << 32) | 3));
+  msgs.push_back(encode_checked(grant));
+  msgs.push_back(encode_checked(LeaseErrorMsg{"nope"}));
+  msgs.push_back(encode_checked(LeaseErrorMsg{"stale epoch", (2ull << 32) | 3}));
   LeaseDeniedMsg denied;
   denied.reason = static_cast<std::uint8_t>(DenialReason::Overload);
   denied.retry_after = 25_ms;
   denied.request_id = (1ull << 32) | 10;
-  msgs.push_back(encode(denied));
+  msgs.push_back(encode_checked(denied));
   AllocationRequestMsg alloc;
   alloc.lease_id = 5;
   alloc.workers = 2;
-  msgs.push_back(encode(alloc));
+  msgs.push_back(encode_checked(alloc));
   AllocationReplyMsg reply;
   reply.ok = true;
   reply.sandbox_id = 8;
   reply.error = "";
-  msgs.push_back(encode(reply));
+  msgs.push_back(encode_checked(reply));
   SubmitCodeMsg code;
   code.function_name = "echo";
   code.code_size = 7880;
-  msgs.push_back(encode(code));
-  msgs.push_back(encode(SubmitCodeOkMsg{3}));
-  msgs.push_back(encode(DeallocateMsg{1, 2}));
-  msgs.push_back(encode(ReleaseResourcesMsg{1, 2, 3, (5ull << 32) | 8}));
-  msgs.push_back(encode(ReleaseOkMsg{1, (5ull << 32) | 8}));
-  msgs.push_back(encode(ExtendLeaseMsg{(7ull << 48) | 42, 30_s, (6ull << 32) | 2}));
-  msgs.push_back(encode(ExtendOkMsg{(7ull << 48) | 42, 90_s, (6ull << 32) | 2}));
+  msgs.push_back(encode_checked(code));
+  msgs.push_back(encode_checked(SubmitCodeOkMsg{3}));
+  msgs.push_back(encode_checked(DeallocateMsg{1, 2}));
+  msgs.push_back(encode_checked(ReleaseResourcesMsg{1, 2, 3, (5ull << 32) | 8}));
+  msgs.push_back(encode_checked(ReleaseOkMsg{1, (5ull << 32) | 8}));
+  msgs.push_back(encode_checked(ExtendLeaseMsg{(7ull << 48) | 42, 30_s, (6ull << 32) | 2}));
+  msgs.push_back(encode_checked(ExtendOkMsg{(7ull << 48) | 42, 90_s, (6ull << 32) | 2}));
   BatchAllocateMsg batch;
   batch.client_id = 9;
   batch.workers = 32;
   batch.memory_bytes = 256ull << 20;
   batch.timeout = 60_s;
   batch.mode = 1;
-  msgs.push_back(encode(batch));
+  msgs.push_back(encode_checked(batch));
   BatchGrantedMsg granted;
   granted.complete = true;
   LeaseGrantMsg g1;
@@ -69,21 +88,21 @@ std::vector<Bytes> sample_messages() {
   g1.workers = 4;
   granted.grants = {g1, LeaseGrantMsg{}};
   granted.error = "";
-  msgs.push_back(encode(granted));
-  msgs.push_back(encode(LeaseRenewedMsg{(3ull << 48) | 5, 120_s}));
+  msgs.push_back(encode_checked(granted));
+  msgs.push_back(encode_checked(LeaseRenewedMsg{(3ull << 48) | 5, 120_s}));
   LeaseTerminatedMsg term;
   term.lease_id = (2ull << 48) | 9;
   term.reason = static_cast<std::uint8_t>(TerminationReason::Rebalance);
   term.evicted_at = 45_s;
   term.seq = 12;
-  msgs.push_back(encode(term));
+  msgs.push_back(encode_checked(term));
   LeasesTerminatedMsg sweep;
   sweep.reason = static_cast<std::uint8_t>(TerminationReason::QuotaPressure);
   sweep.evicted_at = 46_s;
   sweep.lease_ids = {(2ull << 48) | 9, (2ull << 48) | 10};
   sweep.seq = 13;
-  msgs.push_back(encode(sweep));
-  msgs.push_back(encode(SubscribeEventsMsg{77}));
+  msgs.push_back(encode_checked(sweep));
+  msgs.push_back(encode_checked(SubscribeEventsMsg{77}));
   JournalRecordMsg rec;
   rec.seq = 17;
   rec.op = 2;  // journal::Op::Grant
@@ -96,11 +115,11 @@ std::vector<Bytes> sample_messages() {
   rec.aux = 1;
   rec.aux2 = (7ull << 32) | 36;
   rec.checksum = 0xDEADBEEFCAFEull;
-  msgs.push_back(encode(rec));
-  msgs.push_back(encode(SnapshotOfferMsg{2, 4096, 0xFACEFEEDull, 12}));
-  msgs.push_back(encode(FailoverAnnounceMsg{2, 4100, 7_s}));
-  msgs.push_back(encode(LeaseRevalidateMsg{5, (3ull << 48) | 9, (4ull << 32) | 2}));
-  msgs.push_back(encode(InvocationCancelMsg{7, (2ull << 32) | 15, 0}));
+  msgs.push_back(encode_checked(rec));
+  msgs.push_back(encode_checked(SnapshotOfferMsg{2, 4096, 0xFACEFEEDull, 12}));
+  msgs.push_back(encode_checked(FailoverAnnounceMsg{2, 4100, 7_s}));
+  msgs.push_back(encode_checked(LeaseRevalidateMsg{5, (3ull << 48) | 9, (4ull << 32) | 2}));
+  msgs.push_back(encode_checked(InvocationCancelMsg{7, (2ull << 32) | 15, 0}));
   HealthReportMsg health;
   health.client_id = 7;
   health.device = 3;
@@ -108,8 +127,8 @@ std::vector<Bytes> sample_messages() {
   health.ok_count = 40;
   health.fail_count = 3;
   health.request_id = (5ull << 32) | 21;
-  msgs.push_back(encode(health));
-  msgs.push_back(encode(HealthReportOkMsg{(5ull << 32) | 21}));
+  msgs.push_back(encode_checked(health));
+  msgs.push_back(encode_checked(HealthReportOkMsg{(5ull << 32) | 21}));
   return msgs;
 }
 
@@ -204,67 +223,104 @@ TEST(ProtocolGolden, HotMessagesWithEveryFieldSetEncodeToPinnedBytes) {
   code.sandbox_id = 8;
   code.function_name = "echo";
   code.code_size = 48;
-  Bytes padded = encode(code);
+  Bytes padded = encode_checked(code);
   padded.resize(code.code_size);
 
   const std::pair<Bytes, const char*> golden[] = {
-      {encode(req), "0209000000100000000000004000000000005847f80d0000000000000000000000"},
-      {encode(grant), "037b0000000000050007000000581b591b0400000000046bf4140000000000000000000000"},
-      {encode(ExtendLeaseMsg{(7ull << 48) | 42, 30_s}), "0f2a0000000000070000ac23fc060000000000000000000000"},
-      {encode(ExtendOkMsg{(7ull << 48) | 42, 90_s}), "102a0000000000070000046bf4140000000000000000000000"},
-      {encode(denied), "170180b2e60e000000000600000002000000"},
-      {encode(rec), "181f00000000000000040200000000000100090000000100000000000100020000000000000400000000002465c70900000003000000000000000000000000000000efbe000000000000"},
-      {encode(SnapshotOfferMsg{2, 100, 0xABCD, 7}), "19020000006400000000000000cdab0000000000000700000000000000"},
-      {encode(FailoverAnnounceMsg{2, 101, 5_s}), "1a02000000650000000000000000f2052a01000000"},
-      {encode(LeaseRevalidateMsg{9, (1ull << 48) | 2, (6ull << 32) | 4}), "1b0900000002000000000001000400000006000000"},
-      {encode(InvocationCancelMsg{9, (3ull << 32) | 77, (6ull << 32) | 5}), "1c090000004d000000030000000500000006000000"},
-      {encode(health), "1d0900000002000000dc0500000c000000080000000600000006000000"},
-      {encode(HealthReportOkMsg{(6ull << 32) | 6}), "1e0600000006000000"},
+      {encode_checked(req), "0209000000100000000000004000000000005847f80d0000000000000000000000"},
+      {encode_checked(grant), "037b0000000000050007000000581b591b0400000000046bf4140000000000000000000000"},
+      {encode_checked(ExtendLeaseMsg{(7ull << 48) | 42, 30_s}), "0f2a0000000000070000ac23fc060000000000000000000000"},
+      {encode_checked(ExtendOkMsg{(7ull << 48) | 42, 90_s}), "102a0000000000070000046bf4140000000000000000000000"},
+      {encode_checked(denied), "170180b2e60e000000000600000002000000"},
+      {encode_checked(rec), "181f00000000000000040200000000000100090000000100000000000100020000000000000400000000002465c70900000003000000000000000000000000000000efbe000000000000"},
+      {encode_checked(SnapshotOfferMsg{2, 100, 0xABCD, 7}), "19020000006400000000000000cdab0000000000000700000000000000"},
+      {encode_checked(FailoverAnnounceMsg{2, 101, 5_s}), "1a02000000650000000000000000f2052a01000000"},
+      {encode_checked(LeaseRevalidateMsg{9, (1ull << 48) | 2, (6ull << 32) | 4}), "1b0900000002000000000001000400000006000000"},
+      {encode_checked(InvocationCancelMsg{9, (3ull << 32) | 77, (6ull << 32) | 5}), "1c090000004d000000030000000500000006000000"},
+      {encode_checked(health), "1d0900000002000000dc0500000c000000080000000600000006000000"},
+      {encode_checked(HealthReportOkMsg{(6ull << 32) | 6}), "1e0600000006000000"},
       {padded,
        "070800000000000000040000006563686f30000000000000000000000000000000000000000000000000000000000000"},
   };
   for (const auto& [wire, expected] : golden) {
     EXPECT_EQ(hex(wire), expected) << "type byte " << int(wire[0]);
   }
-  auto sub = decode_submit_code(padded);
+  auto sub = decode<SubmitCodeMsg>(padded);
   ASSERT_TRUE(sub.ok());
   EXPECT_EQ(sub.value().sandbox_id, 8u);
   EXPECT_EQ(sub.value().function_name, "echo");
   EXPECT_EQ(sub.value().code_size, 48u);
 }
 
+/// Every control message struct. The fuzz, truncation and round-trip
+/// suites run over this list; TypeListCoversEveryMessageKind fails when
+/// a message kind is missing from it.
+using WireMessages =
+    std::tuple<RegisterExecutorMsg, RegisterOkMsg, LeaseRequestMsg, LeaseGrantMsg, LeaseErrorMsg,
+               AllocationRequestMsg, AllocationReplyMsg, SubmitCodeMsg, SubmitCodeOkMsg,
+               DeallocateMsg, LeaseTerminatedMsg, ReleaseResourcesMsg, ExtendLeaseMsg, ExtendOkMsg,
+               BatchAllocateMsg, BatchGrantedMsg, LeaseRenewedMsg, SubscribeEventsMsg,
+               LeasesTerminatedMsg, ReleaseOkMsg, LeaseDeniedMsg, JournalRecordMsg,
+               SnapshotOfferMsg, FailoverAnnounceMsg, LeaseRevalidateMsg, InvocationCancelMsg,
+               HealthReportMsg, HealthReportOkMsg>;
+
 /// Tries every decoder on `raw`; returns how many accepted it.
 int accepted_by_any(const Bytes& raw) {
-  int n = 0;
-  n += decode_register(raw).ok();
-  n += decode_register_ok(raw).ok();
-  n += decode_lease_request(raw).ok();
-  n += decode_lease_grant(raw).ok();
-  n += decode_lease_error(raw).ok();
-  n += decode_lease_denied(raw).ok();
-  n += decode_allocation_request(raw).ok();
-  n += decode_allocation_reply(raw).ok();
-  n += decode_submit_code(raw).ok();
-  n += decode_submit_code_ok(raw).ok();
-  n += decode_deallocate(raw).ok();
-  n += decode_release(raw).ok();
-  n += decode_release_ok(raw).ok();
-  n += decode_extend_lease(raw).ok();
-  n += decode_extend_ok(raw).ok();
-  n += decode_batch_allocate(raw).ok();
-  n += decode_batch_granted(raw).ok();
-  n += decode_lease_renewed(raw).ok();
-  n += decode_lease_terminated(raw).ok();
-  n += decode_leases_terminated(raw).ok();
-  n += decode_subscribe_events(raw).ok();
-  n += decode_journal_record(raw).ok();
-  n += decode_snapshot_offer(raw).ok();
-  n += decode_failover_announce(raw).ok();
-  n += decode_lease_revalidate(raw).ok();
-  n += decode_invocation_cancel(raw).ok();
-  n += decode_health_report(raw).ok();
-  n += decode_health_report_ok(raw).ok();
-  return n;
+  return std::apply([&](auto... m) { return (0 + ... + int(decode<decltype(m)>(raw).ok())); },
+                    WireMessages{});
+}
+
+/// Decodes `raw` as the message its type byte names and encodes the
+/// result again; empty when no message type accepts it.
+Bytes reencode(const Bytes& raw) {
+  Bytes out;
+  std::apply(
+      [&](auto... m) {
+        ((raw[0] == static_cast<std::uint8_t>(decltype(m)::kType)
+              ? void(out = encode(decode<decltype(m)>(raw).value()))
+              : void()),
+         ...);
+      },
+      WireMessages{});
+  return out;
+}
+
+TEST(ProtocolFuzz, TypeListCoversEveryMessageKind) {
+  // Bodyless kinds travel as encode(MsgType) and have no struct.
+  const std::set<MsgType> bodyless = {MsgType::DeallocateOk, MsgType::Heartbeat,
+                                      MsgType::HeartbeatAck};
+  std::map<MsgType, int> structs;
+  std::apply([&](auto... m) { (++structs[decltype(m)::kType], ...); }, WireMessages{});
+  std::set<std::uint8_t> sampled;
+  for (const auto& msg : sample_messages()) sampled.insert(msg[0]);
+  for (std::uint8_t t = 0; t < static_cast<std::uint8_t>(MsgType::Count); ++t) {
+    const auto kind = static_cast<MsgType>(t);
+    EXPECT_EQ(structs[kind], bodyless.count(kind) ? 0 : 1) << "type " << int(t);
+    EXPECT_EQ(sampled.count(t), bodyless.count(kind) ? 0u : 1u) << "type " << int(t);
+  }
+}
+
+TEST(ProtocolFuzz, EverySampleRoundTripsByteForByte) {
+  for (const auto& msg : sample_messages()) {
+    EXPECT_EQ(reencode(msg), msg) << "type byte " << int(msg[0]);
+  }
+}
+
+TEST(ProtocolFuzz, CorruptedCountFailsOnTheReadsNotTheAllocator) {
+  // A count read off the wire is never trusted for a reservation: a
+  // frame claiming 2^32-1 elements fails on the bounds-checked reads.
+  LeasesTerminatedMsg sweep;
+  sweep.lease_ids = {1, 2};
+  Bytes raw = encode(sweep);
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(raw.data() + 1 + 1 + 8, &huge, 4);  // type, reason, evicted_at
+  EXPECT_FALSE(decode<LeasesTerminatedMsg>(raw).ok());
+
+  BatchGrantedMsg batch;
+  batch.grants.resize(2);
+  raw = encode(batch);
+  std::memcpy(raw.data() + 1 + 1, &huge, 4);  // type, complete
+  EXPECT_FALSE(decode<BatchGrantedMsg>(raw).ok());
 }
 
 TEST(ProtocolFuzz, EveryMessageDecodedByExactlyOneDecoder) {
@@ -298,20 +354,20 @@ TEST(ProtocolHardened, RequestIdEpochAndSeqRoundTrip) {
   reg.device = 3;
   reg.epoch = 9;
   reg.request_id = (9ull << 32) | 4;
-  auto rdec = decode_register(encode(reg));
+  auto rdec = decode<RegisterExecutorMsg>(encode(reg));
   ASSERT_TRUE(rdec.ok());
   EXPECT_EQ(rdec.value().epoch, 9u);
   EXPECT_EQ(rdec.value().request_id, (9ull << 32) | 4);
 
-  auto req = decode_lease_request(encode(LeaseRequestMsg{9, 16, 1_GiB, 60_s, 42}));
+  auto req = decode<LeaseRequestMsg>(encode(LeaseRequestMsg{9, 16, 1_GiB, 60_s, 42}));
   ASSERT_TRUE(req.ok());
   EXPECT_EQ(req.value().request_id, 42u);
 
-  auto rel = decode_release(encode(ReleaseResourcesMsg{1, 2, 3, 55}));
+  auto rel = decode<ReleaseResourcesMsg>(encode(ReleaseResourcesMsg{1, 2, 3, 55}));
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel.value().request_id, 55u);
 
-  auto rok = decode_release_ok(encode(ReleaseOkMsg{7, 55}));
+  auto rok = decode<ReleaseOkMsg>(encode(ReleaseOkMsg{7, 55}));
   ASSERT_TRUE(rok.ok());
   EXPECT_EQ(rok.value().lease_id, 7u);
   EXPECT_EQ(rok.value().request_id, 55u);
@@ -319,14 +375,14 @@ TEST(ProtocolHardened, RequestIdEpochAndSeqRoundTrip) {
   LeaseTerminatedMsg term;
   term.lease_id = 5;
   term.seq = 31;
-  auto tdec = decode_lease_terminated(encode(term));
+  auto tdec = decode<LeaseTerminatedMsg>(encode(term));
   ASSERT_TRUE(tdec.ok());
   EXPECT_EQ(tdec.value().seq, 31u);
 
   LeasesTerminatedMsg sweep;
   sweep.lease_ids = {1, 2, 3};
   sweep.seq = 32;
-  auto sdec = decode_leases_terminated(encode(sweep));
+  auto sdec = decode<LeasesTerminatedMsg>(encode(sweep));
   ASSERT_TRUE(sdec.ok());
   EXPECT_EQ(sdec.value().seq, 32u);
   EXPECT_EQ(sdec.value().lease_ids.size(), 3u);
@@ -350,7 +406,7 @@ TEST(ProtocolHardened, ReplyRequestIdExtractsFromEveryReplyType) {
   denied.request_id = id;
   const std::vector<Bytes> replies = {
       encode(grant),
-      encode_lease_error("no capacity", id),
+      encode(LeaseErrorMsg{"no capacity", id}),
       encode(denied),
       encode(ExtendOkMsg{99, 60_s, id}),
       encode(batch),
@@ -376,8 +432,8 @@ TEST(ProtocolHardened, DuplicateDeliveryDecodesIdentically) {
   // the same fields both times (codecs are stateless — the dedup layer
   // above relies on that).
   const Bytes raw = encode(LeaseRequestMsg{9, 16, 1_GiB, 60_s, (8ull << 32) | 6});
-  auto first = decode_lease_request(raw);
-  auto second = decode_lease_request(raw);
+  auto first = decode<LeaseRequestMsg>(raw);
+  auto second = decode<LeaseRequestMsg>(raw);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.value().client_id, second.value().client_id);
@@ -400,7 +456,7 @@ TEST(ProtocolHardened, FailoverMessagesRoundTripEveryField) {
   rec.aux = 0x1122334455667788ull;
   rec.aux2 = 0x99AABBCCDDEEFF00ull;
   rec.checksum = 0x0123456789ABCDEFull;
-  auto rdec = decode_journal_record(encode(rec));
+  auto rdec = decode<JournalRecordMsg>(encode(rec));
   ASSERT_TRUE(rdec.ok());
   EXPECT_EQ(rdec.value().seq, rec.seq);
   EXPECT_EQ(rdec.value().op, rec.op);
@@ -414,20 +470,20 @@ TEST(ProtocolHardened, FailoverMessagesRoundTripEveryField) {
   EXPECT_EQ(rdec.value().aux2, rec.aux2);
   EXPECT_EQ(rdec.value().checksum, rec.checksum);
 
-  auto odec = decode_snapshot_offer(encode(SnapshotOfferMsg{3, 777, 0xD1CEull, 42}));
+  auto odec = decode<SnapshotOfferMsg>(encode(SnapshotOfferMsg{3, 777, 0xD1CEull, 42}));
   ASSERT_TRUE(odec.ok());
   EXPECT_EQ(odec.value().manager_epoch, 3u);
   EXPECT_EQ(odec.value().upto_seq, 777u);
   EXPECT_EQ(odec.value().digest, 0xD1CEull);
   EXPECT_EQ(odec.value().lease_count, 42u);
 
-  auto adec = decode_failover_announce(encode(FailoverAnnounceMsg{4, 888, 9_s}));
+  auto adec = decode<FailoverAnnounceMsg>(encode(FailoverAnnounceMsg{4, 888, 9_s}));
   ASSERT_TRUE(adec.ok());
   EXPECT_EQ(adec.value().manager_epoch, 4u);
   EXPECT_EQ(adec.value().applied_seq, 888u);
   EXPECT_EQ(adec.value().promoted_at, 9_s);
 
-  auto vdec = decode_lease_revalidate(encode(LeaseRevalidateMsg{6, 999, (5ull << 32) | 1}));
+  auto vdec = decode<LeaseRevalidateMsg>(encode(LeaseRevalidateMsg{6, 999, (5ull << 32) | 1}));
   ASSERT_TRUE(vdec.ok());
   EXPECT_EQ(vdec.value().client_id, 6u);
   EXPECT_EQ(vdec.value().lease_id, 999u);
@@ -443,53 +499,9 @@ TEST(ProtocolHardened, FailoverMessagesRoundTripEveryField) {
   EXPECT_FALSE(reply_request_id(encode(LeaseRevalidateMsg{1, 2, 3})).ok());
 }
 
-TEST(ProtocolFastPath, FailoverEncodeIntoMatchesTheBytesApiByteForByte) {
-  // JournalRecord is the replication hot path (one frame per lease
-  // transition): the zero-allocation encoder must emit exactly the
-  // Bytes-API frame, and undersized buffers must refuse untouched.
-  JournalRecordMsg rec;
-  rec.seq = 31;
-  rec.op = 4;
-  rec.lease_id = (1ull << 48) | 2;
-  rec.client_id = 9;
-  rec.executor = (1ull << 48) | 1;
-  rec.workers = 2;
-  rec.memory = 64ull << 20;
-  rec.time = 42_s;
-  rec.aux = 3;
-  rec.aux2 = 0;
-  rec.checksum = 0xBEEF;
-  SnapshotOfferMsg offer{2, 100, 0xABCD, 7};
-  FailoverAnnounceMsg ann{2, 101, 5_s};
-  LeaseRevalidateMsg reval{9, (1ull << 48) | 2, (6ull << 32) | 4};
-
-  std::uint8_t buf[128];
-  EXPECT_EQ(encode_into(rec, buf, sizeof buf), kJournalRecordWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kJournalRecordWireSize), encode(rec));
-  EXPECT_EQ(encode_into(offer, buf, sizeof buf), kSnapshotOfferWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kSnapshotOfferWireSize), encode(offer));
-  EXPECT_EQ(encode_into(ann, buf, sizeof buf), kFailoverAnnounceWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kFailoverAnnounceWireSize), encode(ann));
-  EXPECT_EQ(encode_into(reval, buf, sizeof buf), kLeaseRevalidateWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseRevalidateWireSize), encode(reval));
-
-  EXPECT_EQ(encode_into(rec, buf, kJournalRecordWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(offer, buf, kSnapshotOfferWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(ann, buf, 0), 0u);
-  EXPECT_EQ(encode_into(reval, buf, kLeaseRevalidateWireSize - 1), 0u);
-
-  // Span decode from the stack buffer, truncation and type confusion.
-  const std::size_t n = encode_into(rec, buf, sizeof buf);
-  EXPECT_TRUE(decode_journal_record(std::span<const std::uint8_t>(buf, n)).ok());
-  EXPECT_FALSE(decode_journal_record(std::span<const std::uint8_t>(buf, n - 1)).ok());
-  buf[0] = static_cast<std::uint8_t>(MsgType::SnapshotOffer);
-  EXPECT_FALSE(decode_journal_record(std::span<const std::uint8_t>(buf, n)).ok());
-}
-
-TEST(ProtocolFastPath, FaultToleranceMessagesRoundTripAndRefuseTruncation) {
+TEST(ProtocolHardened, FaultToleranceMessagesRoundTripEveryField) {
   // The data-plane FT messages ride the hot path exactly when the fleet
-  // is sick: the zero-allocation encoders must match the Bytes API, and
-  // every field must survive the roundtrip.
+  // is sick: every field must survive the roundtrip.
   InvocationCancelMsg cancel{9, (3ull << 32) | 77, (6ull << 32) | 5};
   HealthReportMsg health;
   health.client_id = 9;
@@ -498,20 +510,14 @@ TEST(ProtocolFastPath, FaultToleranceMessagesRoundTripAndRefuseTruncation) {
   health.ok_count = 12;
   health.fail_count = 8;
   health.request_id = (6ull << 32) | 6;
-  HealthReportOkMsg ack{(6ull << 32) | 6};
 
-  std::uint8_t buf[64];
-  EXPECT_EQ(encode_into(cancel, buf, sizeof buf), kInvocationCancelWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kInvocationCancelWireSize), encode(cancel));
-  auto cdec = decode_invocation_cancel(std::span<const std::uint8_t>(buf, kInvocationCancelWireSize));
+  auto cdec = decode<InvocationCancelMsg>(encode(cancel));
   ASSERT_TRUE(cdec.ok());
   EXPECT_EQ(cdec.value().client_id, cancel.client_id);
   EXPECT_EQ(cdec.value().invocation_tag, cancel.invocation_tag);
   EXPECT_EQ(cdec.value().request_id, cancel.request_id);
 
-  EXPECT_EQ(encode_into(health, buf, sizeof buf), kHealthReportWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kHealthReportWireSize), encode(health));
-  auto hdec = decode_health_report(std::span<const std::uint8_t>(buf, kHealthReportWireSize));
+  auto hdec = decode<HealthReportMsg>(encode(health));
   ASSERT_TRUE(hdec.ok());
   EXPECT_EQ(hdec.value().client_id, health.client_id);
   EXPECT_EQ(hdec.value().device, health.device);
@@ -520,16 +526,9 @@ TEST(ProtocolFastPath, FaultToleranceMessagesRoundTripAndRefuseTruncation) {
   EXPECT_EQ(hdec.value().fail_count, health.fail_count);
   EXPECT_EQ(hdec.value().request_id, health.request_id);
 
-  EXPECT_EQ(encode_into(ack, buf, sizeof buf), kHealthReportOkWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kHealthReportOkWireSize), encode(ack));
-  auto adec = decode_health_report_ok(std::span<const std::uint8_t>(buf, kHealthReportOkWireSize));
+  auto adec = decode<HealthReportOkMsg>(encode(HealthReportOkMsg{(6ull << 32) | 6}));
   ASSERT_TRUE(adec.ok());
-  EXPECT_EQ(adec.value().request_id, ack.request_id);
-
-  // Undersized buffers refuse without writing; truncations reject.
-  EXPECT_EQ(encode_into(cancel, buf, kInvocationCancelWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(health, buf, kHealthReportWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(ack, buf, 0), 0u);
+  EXPECT_EQ(adec.value().request_id, (6ull << 32) | 6);
 
   // The HealthReport ack is a matchable reply (retransmission FSM);
   // the fire-and-forget cancel is not.
@@ -589,43 +588,6 @@ TEST(ProtocolFuzz, RandomCorruptionNeverCrashes) {
   SUCCEED();
 }
 
-TEST(ProtocolFastPath, EncodeIntoMatchesTheBytesApiByteForByte) {
-  // The zero-allocation fast path must produce exactly the wire bytes
-  // the Bytes API produces (it IS the Bytes API's backend now, but this
-  // pins the fixed layouts against accidental drift).
-  LeaseRequestMsg req{9, 16, 1_GiB, 60_s};
-  LeaseGrantMsg grant;
-  grant.lease_id = (5ull << 48) | 123;
-  grant.device = 7;
-  grant.alloc_port = 7000;
-  grant.rdma_port = 7001;
-  grant.workers = 4;
-  grant.expires_at = 90_s;
-  ExtendLeaseMsg extend{(7ull << 48) | 42, 30_s};
-  ExtendOkMsg ok{(7ull << 48) | 42, 90_s};
-  LeaseDeniedMsg denied;
-  denied.reason = static_cast<std::uint8_t>(DenialReason::QuotaExceeded);
-  denied.retry_after = 250_ms;
-  denied.request_id = (2ull << 32) | 6;
-
-  std::uint8_t buf[64];
-  EXPECT_EQ(encode_into(req, buf, sizeof buf), kLeaseRequestWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseRequestWireSize), encode(req));
-  EXPECT_EQ(encode_into(grant, buf, sizeof buf), kLeaseGrantWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseGrantWireSize), encode(grant));
-  EXPECT_EQ(encode_into(extend, buf, sizeof buf), kExtendLeaseWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kExtendLeaseWireSize), encode(extend));
-  EXPECT_EQ(encode_into(ok, buf, sizeof buf), kExtendOkWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kExtendOkWireSize), encode(ok));
-  EXPECT_EQ(encode_into(denied, buf, sizeof buf), kLeaseDeniedWireSize);
-  EXPECT_EQ(Bytes(buf, buf + kLeaseDeniedWireSize), encode(denied));
-
-  // Undersized buffers refuse without writing.
-  EXPECT_EQ(encode_into(req, buf, kLeaseRequestWireSize - 1), 0u);
-  EXPECT_EQ(encode_into(grant, buf, 0), 0u);
-  EXPECT_EQ(encode_into(denied, buf, kLeaseDeniedWireSize - 1), 0u);
-}
-
 TEST(ProtocolFastPath, SpanDecodersRoundTripFromStackBuffers) {
   LeaseGrantMsg grant;
   grant.lease_id = (3ull << 48) | 77;
@@ -637,7 +599,7 @@ TEST(ProtocolFastPath, SpanDecodersRoundTripFromStackBuffers) {
 
   std::uint8_t buf[64];
   const std::size_t n = encode_into(grant, buf, sizeof buf);
-  auto decoded = decode_lease_grant(std::span<const std::uint8_t>(buf, n));
+  auto decoded = decode<LeaseGrantMsg>(std::span<const std::uint8_t>(buf, n));
   EXPECT_TRUE(decoded.ok());
   if (decoded.ok()) {
     EXPECT_EQ(decoded.value().lease_id, grant.lease_id);
@@ -648,9 +610,9 @@ TEST(ProtocolFastPath, SpanDecodersRoundTripFromStackBuffers) {
     EXPECT_EQ(decoded.value().expires_at, grant.expires_at);
   }
   // Truncations and a wrong type byte are rejected.
-  EXPECT_FALSE(decode_lease_grant(std::span<const std::uint8_t>(buf, n - 1)).ok());
+  EXPECT_FALSE(decode<LeaseGrantMsg>(std::span<const std::uint8_t>(buf, n - 1)).ok());
   buf[0] = static_cast<std::uint8_t>(MsgType::LeaseRequest);
-  EXPECT_FALSE(decode_lease_grant(std::span<const std::uint8_t>(buf, n)).ok());
+  EXPECT_FALSE(decode<LeaseGrantMsg>(std::span<const std::uint8_t>(buf, n)).ok());
 
   // LeaseDenied is the hot reply under overload: the same stack-buffer
   // roundtrip, truncation and type-confusion guarantees must hold.
@@ -659,19 +621,19 @@ TEST(ProtocolFastPath, SpanDecodersRoundTripFromStackBuffers) {
   denied.retry_after = 42_ms;
   denied.request_id = (9ull << 32) | 3;
   const std::size_t dn = encode_into(denied, buf, sizeof buf);
-  ASSERT_EQ(dn, kLeaseDeniedWireSize);
-  auto ddec = decode_lease_denied(std::span<const std::uint8_t>(buf, dn));
+  ASSERT_EQ(dn, wire_size<LeaseDeniedMsg>);
+  auto ddec = decode<LeaseDeniedMsg>(std::span<const std::uint8_t>(buf, dn));
   ASSERT_TRUE(ddec.ok());
   EXPECT_EQ(ddec.value().reason, denied.reason);
   EXPECT_EQ(ddec.value().retry_after, denied.retry_after);
   EXPECT_EQ(ddec.value().request_id, denied.request_id);
-  EXPECT_FALSE(decode_lease_denied(std::span<const std::uint8_t>(buf, dn - 1)).ok());
+  EXPECT_FALSE(decode<LeaseDeniedMsg>(std::span<const std::uint8_t>(buf, dn - 1)).ok());
   buf[0] = static_cast<std::uint8_t>(MsgType::LeaseGrant);
-  EXPECT_FALSE(decode_lease_denied(std::span<const std::uint8_t>(buf, dn)).ok());
+  EXPECT_FALSE(decode<LeaseDeniedMsg>(std::span<const std::uint8_t>(buf, dn)).ok());
 
   LeaseRequestMsg req{1, 8, 256ull << 20, 60_s};
   const std::size_t rn = encode_into(req, buf, sizeof buf);
-  auto rdec = decode_lease_request(std::span<const std::uint8_t>(buf, rn));
+  auto rdec = decode<LeaseRequestMsg>(std::span<const std::uint8_t>(buf, rn));
   EXPECT_TRUE(rdec.ok());
   if (rdec.ok()) {
     EXPECT_EQ(rdec.value().client_id, req.client_id);

@@ -39,7 +39,7 @@ TEST(Protocol, HeaderPackUnpack) {
 
 TEST(Protocol, LeaseRequestRoundTrip) {
   LeaseRequestMsg m{42, 8, 1_GiB, 60_s};
-  auto decoded = decode_lease_request(encode(m));
+  auto decoded = decode<LeaseRequestMsg>(encode(m));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().client_id, 42u);
   EXPECT_EQ(decoded.value().workers, 8u);
@@ -55,7 +55,7 @@ TEST(Protocol, LeaseGrantRoundTrip) {
   m.rdma_port = 7001;
   m.workers = 4;
   m.expires_at = 123456789;
-  auto decoded = decode_lease_grant(encode(m));
+  auto decoded = decode<LeaseGrantMsg>(encode(m));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().lease_id, 7u);
   EXPECT_EQ(decoded.value().workers, 4u);
@@ -72,7 +72,7 @@ TEST(Protocol, AllocationRequestRoundTrip) {
   m.policy = static_cast<std::uint8_t>(InvocationPolicy::HotAlways);
   m.hot_timeout = 250_ms;
   m.expires_at = 42_s;
-  auto decoded = decode_allocation_request(encode(m));
+  auto decoded = decode<AllocationRequestMsg>(encode(m));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().workers, 16u);
   EXPECT_EQ(decoded.value().sandbox, static_cast<std::uint8_t>(SandboxType::Docker));
@@ -82,25 +82,25 @@ TEST(Protocol, AllocationRequestRoundTrip) {
 }
 
 TEST(Protocol, ErrorMessageRoundTrip) {
-  auto raw = encode_lease_error("no capacity");
+  auto raw = encode(LeaseErrorMsg{"no capacity"});
   auto type = peek_type(raw);
   ASSERT_TRUE(type.ok());
   EXPECT_EQ(type.value(), MsgType::LeaseError);
-  auto msg = decode_lease_error(raw);
+  auto msg = decode<LeaseErrorMsg>(raw);
   ASSERT_TRUE(msg.ok());
-  EXPECT_EQ(msg.value(), "no capacity");
+  EXPECT_EQ(msg.value().reason, "no capacity");
 }
 
 TEST(Protocol, RejectsWrongType) {
   auto raw = encode(LeaseRequestMsg{});
-  EXPECT_FALSE(decode_lease_grant(raw).ok());
-  EXPECT_FALSE(decode_register(raw).ok());
+  EXPECT_FALSE(decode<LeaseGrantMsg>(raw).ok());
+  EXPECT_FALSE(decode<RegisterExecutorMsg>(raw).ok());
 }
 
 TEST(Protocol, RejectsTruncated) {
   auto raw = encode(LeaseRequestMsg{1, 2, 3, 4});
   raw.resize(raw.size() - 3);
-  EXPECT_FALSE(decode_lease_request(raw).ok());
+  EXPECT_FALSE(decode<LeaseRequestMsg>(raw).ok());
 }
 
 TEST(Protocol, PeekRejectsUnknownType) {

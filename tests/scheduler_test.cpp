@@ -407,7 +407,7 @@ TEST(LeaseLifecycle, HeartbeatSweepReclaimsExpiredLease) {
     auto raw = co_await conn.value()->recv();
     EXPECT_TRUE(raw.has_value());
     if (!raw.has_value()) co_return;
-    EXPECT_TRUE(decode_lease_grant(*raw).ok());
+    EXPECT_TRUE(decode<LeaseGrantMsg>(*raw).ok());
     // Never released: the client walks away holding the grant.
   };
   h.spawn(client(&h));

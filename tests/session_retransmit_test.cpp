@@ -77,7 +77,7 @@ class SessionTest : public ::testing::Test {
   /// `copies` times (duplicates are byte-identical frames).
   static void answer(net::TcpStream& s, const Bytes& raw, std::uint64_t lease_id,
                      int copies = 1) {
-    auto req = decode_lease_request(raw);
+    auto req = decode<LeaseRequestMsg>(raw);
     EXPECT_TRUE(req.ok());
     if (!req.ok()) return;
     for (int i = 0; i < copies; ++i) s.send(grant_reply(req.value().request_id, lease_id));
@@ -108,7 +108,7 @@ TEST_F(SessionTest, LosslessCallCompletesWithoutRetransmit) {
   eng.run();
 
   ASSERT_TRUE(reply.ok());
-  auto grant = decode_lease_grant(reply.value());
+  auto grant = decode<LeaseGrantMsg>(reply.value());
   ASSERT_TRUE(grant.ok());
   EXPECT_EQ(grant.value().lease_id, 42u);
   EXPECT_EQ(session->retransmits(), 0u);
@@ -317,8 +317,8 @@ TEST(ManagerDedup, RetransmittedLeaseRequestIsAnsweredFromTheDedupTable) {
     EXPECT_TRUE(first.has_value());
     EXPECT_TRUE(second.has_value());
     if (!first || !second) co_return;
-    auto g1 = decode_lease_grant(*first);
-    auto g2 = decode_lease_grant(*second);
+    auto g1 = decode<LeaseGrantMsg>(*first);
+    auto g2 = decode<LeaseGrantMsg>(*second);
     EXPECT_TRUE(g1.ok());
     EXPECT_TRUE(g2.ok());
     if (!g1.ok() || !g2.ok()) co_return;
@@ -336,7 +336,7 @@ TEST(ManagerDedup, RetransmittedLeaseRequestIsAnsweredFromTheDedupTable) {
     EXPECT_TRUE(ok1.has_value());
     EXPECT_TRUE(ok2.has_value());
     if (!ok1 || !ok2) co_return;
-    EXPECT_TRUE(decode_release_ok(*ok1).ok());
+    EXPECT_TRUE(decode<ReleaseOkMsg>(*ok1).ok());
     EXPECT_EQ(*ok1, *ok2);
   };
   h.spawn(scenario());
@@ -372,7 +372,7 @@ TEST(ManagerDedup, StaleEpochRegistrationIsFenced) {
     auto first = co_await stream->recv();
     EXPECT_TRUE(first.has_value());
     if (!first) co_return;
-    EXPECT_TRUE(decode_register_ok(*first).ok());
+    EXPECT_TRUE(decode<RegisterOkMsg>(*first).ok());
 
     // A replay from an abandoned session (same epoch, fresh request id)
     // must be refused — admitting it would double-count the device.
@@ -381,7 +381,7 @@ TEST(ManagerDedup, StaleEpochRegistrationIsFenced) {
     auto second = co_await stream->recv();
     EXPECT_TRUE(second.has_value());
     if (!second) co_return;
-    EXPECT_TRUE(decode_lease_error(*second).ok());
+    EXPECT_TRUE(decode<LeaseErrorMsg>(*second).ok());
 
     // A NEWER epoch supersedes: the restarted executor re-registers.
     reg.epoch = 6;
@@ -390,7 +390,7 @@ TEST(ManagerDedup, StaleEpochRegistrationIsFenced) {
     auto third = co_await stream->recv();
     EXPECT_TRUE(third.has_value());
     if (!third) co_return;
-    EXPECT_TRUE(decode_register_ok(*third).ok());
+    EXPECT_TRUE(decode<RegisterOkMsg>(*third).ok());
   };
   h.spawn(scenario());
   h.run_for(5_s);

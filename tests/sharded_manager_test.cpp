@@ -789,7 +789,7 @@ TEST(ShardedHarness, QuotaPressureEvictsAndRetriesOverTheWire) {
     auto raw = co_await stream->recv();
     (void)hp;
     if (!raw.has_value()) co_return Error::make(1, "stream closed");
-    co_return decode_lease_grant(*raw);
+    co_return decode<LeaseGrantMsg>(*raw);
   };
 
   auto scenario = [&]() -> sim::Task<void> {
@@ -873,7 +873,7 @@ TEST(ShardedHarness, ExtendLeaseOverTheWire) {
     auto raw = co_await stream->recv();
     EXPECT_TRUE(raw.has_value());
     if (!raw.has_value()) co_return;
-    auto grant = decode_lease_grant(*raw);
+    auto grant = decode<LeaseGrantMsg>(*raw);
     EXPECT_TRUE(grant.ok());
     if (!grant.ok()) co_return;
 
@@ -886,7 +886,7 @@ TEST(ShardedHarness, ExtendLeaseOverTheWire) {
     auto raw2 = co_await stream->recv();
     EXPECT_TRUE(raw2.has_value());
     if (!raw2.has_value()) co_return;
-    auto ok = decode_extend_ok(*raw2);
+    auto ok = decode<ExtendOkMsg>(*raw2);
     EXPECT_TRUE(ok.ok());
     if (!ok.ok()) co_return;
     EXPECT_EQ(ok.value().lease_id, grant.value().lease_id);
@@ -900,7 +900,7 @@ TEST(ShardedHarness, ExtendLeaseOverTheWire) {
     auto raw3 = co_await stream->recv();
     EXPECT_TRUE(raw3.has_value());
     if (!raw3.has_value()) co_return;
-    EXPECT_FALSE(decode_extend_ok(*raw3).ok());
+    EXPECT_FALSE(decode<ExtendOkMsg>(*raw3).ok());
   };
   h.spawn(client(&h));
   h.run_for(5_s);  // past the original 2 s expiry plus a heartbeat

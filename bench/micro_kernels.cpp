@@ -32,6 +32,26 @@ void BM_EngineEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventThroughput);
 
+// Actors that each sleep once and complete, `range(0)` of them live at a
+// time: the cost of a frame (pooled while the live count fits the frame
+// pool's per-class cap), its registry link and two engine events.
+void BM_SpawnCompleteCycle(benchmark::State& state) {
+  const auto actors = state.range(0);
+  sim::Engine eng;
+  std::uint64_t completed = 0;
+  auto actor = [](std::uint64_t* done) -> sim::Task<void> {
+    co_await sim::delay(1);
+    ++*done;
+  };
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < actors; ++i) sim::spawn(eng, actor(&completed));
+    eng.run();
+    benchmark::DoNotOptimize(completed);
+  }
+  state.SetItemsProcessed(state.iterations() * actors);
+}
+BENCHMARK(BM_SpawnCompleteCycle)->Arg(1)->Arg(256)->Arg(1024);
+
 void BM_FabricWriteRoundTrip(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {

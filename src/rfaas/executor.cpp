@@ -272,8 +272,7 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
 
   std::uint32_t out_len = 0;
   std::uint32_t reply_csum = 0;
-  const ExecutorManager::DedupEntry* dup =
-      (!dropped && tag != 0) ? mgr_.dedup_find(tag) : nullptr;
+  const DedupWindow::Entry* dup = (!dropped && tag != 0) ? mgr_.dedup_.find(tag) : nullptr;
   if (dup != nullptr) {
     // Idempotent replay: this tag already executed on this manager (a
     // retry or hedge twin). Return the stored clean result without
@@ -298,7 +297,7 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     // bytes by the mismatch, and its same-worker retry replays the
     // stored clean copy instead of re-executing.
     if (header.checksum != 0) reply_csum = fold12(payload_checksum(out_buf_->raw(), out_len));
-    if (tag != 0) mgr_.dedup_record(tag, reply_csum, out_buf_->raw(), out_len);
+    if (tag != 0) mgr_.dedup_.record(tag, reply_csum, out_buf_->raw(), out_len);
     if (fault.corrupt && out_len > 0) {
       out_buf_->raw()[0] ^= 0xFF;
       out_buf_->raw()[out_len - 1] ^= 0xFF;
@@ -714,20 +713,26 @@ bool ExecutorManager::poolable(const Sandbox& sb) const {
   return alive_ && config_.warm_pool_capacity > 0 && !sb.workers.empty();
 }
 
-const ExecutorManager::DedupEntry* ExecutorManager::dedup_find(std::uint64_t tag) const {
-  auto it = dedup_.find(tag);
-  return it == dedup_.end() ? nullptr : &it->second;
+const DedupWindow::Entry* DedupWindow::find(std::uint64_t tag) const {
+  for (std::size_t i = 0; i < tags_.size(); ++i) {
+    if (tags_[i] == tag) return &entries_[i];
+  }
+  return nullptr;
 }
 
-void ExecutorManager::dedup_record(std::uint64_t tag, std::uint32_t checksum12,
-                                   const std::uint8_t* out, std::uint32_t len) {
-  if (dedup_.contains(tag)) return;
-  dedup_fifo_.push_back(tag);
-  if (dedup_fifo_.size() > kDedupWindow) {
-    dedup_.erase(dedup_fifo_.front());
-    dedup_fifo_.pop_front();
+void DedupWindow::record(std::uint64_t tag, std::uint32_t checksum12, const std::uint8_t* out,
+                         std::uint32_t len) {
+  if (find(tag) != nullptr) return;
+  if (entries_.size() < kCapacity) {  // still growing: the next slot is new
+    tags_.reserve(kCapacity);
+    entries_.reserve(kCapacity);
+    tags_.push_back(0);
+    entries_.emplace_back();
   }
-  DedupEntry& e = dedup_[tag];
+  const std::size_t slot = next_;
+  next_ = (slot + 1) % kCapacity;
+  tags_[slot] = tag;
+  Entry& e = entries_[slot];
   e.checksum12 = checksum12;
   e.output.assign(out, out + len);
 }

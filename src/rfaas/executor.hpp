@@ -173,6 +173,36 @@ struct WarmPoolStats {
   std::uint64_t pressure_evictions = 0;    // reclaimed to satisfy a cold allocation
 };
 
+/// Idempotency dedup window of an executor manager: the replies of the
+/// last kCapacity invocation tags it executed, so a retry or hedge twin
+/// of one of them replays the stored reply instead of running user code
+/// again. A fixed ring, overwritten oldest first (FIFO eviction). It grows
+/// to kCapacity slots on first use, so a manager that never sees a tag
+/// pays nothing, and a reused slot keeps its output buffer's capacity, so
+/// recording allocates nothing once the ring has warmed up.
+class DedupWindow {
+ public:
+  static constexpr std::size_t kCapacity = 128;
+
+  struct Entry {
+    std::uint32_t checksum12 = 0;      ///< reply imm checksum (0 = unchecked)
+    std::vector<std::uint8_t> output;  ///< completed result bytes
+  };
+
+  /// The stored reply of `tag` (nonzero), or null: never executed here,
+  /// or evicted since. Valid until the next record().
+  [[nodiscard]] const Entry* find(std::uint64_t tag) const;
+  /// Stores the reply of `tag` (nonzero) unless it is already stored.
+  void record(std::uint64_t tag, std::uint32_t checksum12, const std::uint8_t* out,
+              std::uint32_t len);
+
+ private:
+  // Tags sit apart from the entries so a lookup scans one contiguous array.
+  std::vector<std::uint64_t> tags_;
+  std::vector<Entry> entries_;
+  std::size_t next_ = 0;  ///< slot the next record takes
+};
+
 class ExecutorManager {
  public:
   ExecutorManager(sim::Engine& engine, fabric::Fabric& fabric, net::TcpNetwork& tcp,
@@ -269,16 +299,6 @@ class ExecutorManager {
   std::unique_ptr<rdmalib::Buffer<std::uint8_t>> take_pooled_buffer(std::uint64_t bytes);
   void recycle_buffer(std::unique_ptr<rdmalib::Buffer<std::uint8_t>> buf);
 
-  /// Idempotency dedup table (bounded window): a tag that already
-  /// executed on this manager replays its stored reply instead of
-  /// running user code again. Entry absent = never executed here.
-  struct DedupEntry {
-    std::uint32_t checksum12 = 0;           ///< reply imm checksum (0 = unchecked)
-    std::vector<std::uint8_t> output;       ///< completed result bytes
-  };
-  [[nodiscard]] const DedupEntry* dedup_find(std::uint64_t tag) const;
-  void dedup_record(std::uint64_t tag, std::uint32_t checksum12,
-                    const std::uint8_t* out, std::uint32_t len);
   /// Hedge-loser cancellation: parks `tag` so a not-yet-dispatched
   /// invocation carrying it is dropped instead of executed.
   void note_cancel(std::uint64_t tag);
@@ -344,9 +364,7 @@ class ExecutorManager {
   /// dedup/cancel windows are bounded FIFOs so a long-lived manager's
   /// memory stays flat.
   net::WorkerFaultInjector* worker_faults_ = nullptr;
-  static constexpr std::size_t kDedupWindow = 128;
-  std::unordered_map<std::uint64_t, DedupEntry> dedup_;
-  std::deque<std::uint64_t> dedup_fifo_;
+  DedupWindow dedup_;
   static constexpr std::size_t kCancelWindow = 256;
   std::unordered_set<std::uint64_t> cancelled_tags_;
   std::deque<std::uint64_t> cancel_fifo_;

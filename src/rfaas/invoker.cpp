@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/log.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace rfs::rfaas {
 
@@ -1099,9 +1100,11 @@ sim::Task<InvocationResult> Invoker::run_invocation(std::uint16_t fn_index, Buff
     const Time deadline = reliable ? engine_.now() + ft.invocation_deadline : 0;
 
     if (n == 0 && reliable && ft.hedging) {
-      auto hs = std::make_shared<Hedge>();
+      // Pooled like a frame: the loser leg may outlive this call, so the
+      // legs share ownership.
+      auto hs = std::allocate_shared<Hedge>(sim::frame_pool::Allocator<Hedge>{});
       hs->pending = 1;
-      hs->in_flight.push_back(widx);
+      hs->in_flight[0] = widx;
       hs->out = bufs.out;
       sim::spawn(engine_, hedge_leg(hs, widx, fn_index, bufs, tag, deadline, kNone));
       sim::spawn(engine_,
@@ -1112,6 +1115,7 @@ sim::Task<InvocationResult> Invoker::run_invocation(std::uint16_t fn_index, Buff
       // costs one wasted execution absorbed by the dedup table, never a
       // wrong result).
       for (const std::size_t loser : hs->in_flight) {
+        if (loser == kNone) continue;
         auto& stream = workers_[loser].mgr_stream;
         if (stream != nullptr && !stream->closed()) {
           InvocationCancelMsg msg;
@@ -1300,7 +1304,7 @@ sim::Task<void> Invoker::hedge_leg(std::shared_ptr<Hedge> hs, std::size_t widx,
     free_slots_.push_back(backup_slot);
     slot_sem_->release();
   }
-  std::erase(hs->in_flight, widx);
+  hs->in_flight[backup_slot != kNone ? 1 : 0] = kNone;
   --hs->pending;
   if (!hs->resolved && (r.ok || hs->pending == 0)) {
     hs->resolved = true;
@@ -1344,7 +1348,7 @@ sim::Task<void> Invoker::hedge_backup(std::shared_ptr<Hedge> hs, std::uint16_t f
   const std::size_t widx = pick_worker_avoiding(primary_device);
   ++hedges_launched_;
   ++hs->pending;
-  hs->in_flight.push_back(widx);
+  hs->in_flight[1] = widx;
   sim::spawn(engine_, hedge_leg(hs, widx, fn_index,
                                 Buffers{slot.in.sge_with_header(payload_bytes),
                                         slot.out.remote_data()},

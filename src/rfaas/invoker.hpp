@@ -12,6 +12,7 @@
 // fresh cold start, and that surfaces renewal-failure/expiry callbacks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -511,8 +512,9 @@ class Invoker {
     bool resolved = false;
     unsigned pending = 0;
     InvocationResult result;
-    std::vector<std::size_t> in_flight;  ///< workers of unresolved legs
-    rdmalib::RemoteBuffer out;           ///< the request's result region
+    /// Workers of unresolved legs, [primary, backup]; SIZE_MAX = none.
+    std::array<std::size_t, 2> in_flight{SIZE_MAX, SIZE_MAX};
+    rdmalib::RemoteBuffer out;  ///< the request's result region
   };
 
   sim::Future<InvocationResult> submit_raw(std::uint16_t fn_index, Buffers bufs);

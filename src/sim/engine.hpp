@@ -9,8 +9,10 @@
 //
 // Detached actors (see spawn() in task.hpp) are tracked in an intrusive
 // doubly linked list whose links live in the task promises themselves, so
-// registering and deregistering an actor is O(1) and allocates nothing:
-// a spawn costs exactly its coroutine frame.
+// registering and deregistering an actor is O(1) and allocates nothing.
+// The frame itself comes from the per-thread frame pool (frame_pool.hpp),
+// so once the pool has warmed up a spawn touches the heap only when more
+// frames of one size are live than the pool caches.
 #pragma once
 
 #include <coroutine>

@@ -19,15 +19,47 @@ namespace rfs::sim {
 
 /// Manual-reset broadcast event. `wait()` suspends until `set()`;
 /// if already set, waiting completes immediately.
+///
+/// The waiter list is intrusive: each suspended Waiter (which lives in
+/// its coroutine frame) is a node of a FIFO doubly linked list, so waiting
+/// allocates nothing. A Waiter unlinks itself when destroyed, so a frame
+/// destroyed mid-wait (a dropped Task, Engine::drain_detached) leaves no
+/// stale node behind; an Event destroyed first detaches its waiters.
 class Event {
  public:
-  /// Awaitable returned by wait().
-  struct Waiter {
-    Event* ev;
-    bool await_ready() const noexcept { return ev->set_; }
-    void await_suspend(std::coroutine_handle<> h) { ev->waiters_.push_back(h); }
+  /// Awaitable returned by wait(). Not copyable: while suspended it is
+  /// linked into the event's list by address.
+  class Waiter {
+   public:
+    explicit Waiter(Event* ev) : ev_(ev) {}
+    Waiter(const Waiter&) = delete;
+    Waiter& operator=(const Waiter&) = delete;
+    ~Waiter() {
+      if (linked_) ev_->unlink(*this);
+    }
+
+    bool await_ready() const noexcept { return ev_->set_; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle_ = h;
+      ev_->link(*this);
+    }
     void await_resume() const noexcept {}
+
+   private:
+    friend class Event;
+    Event* ev_;
+    Waiter* prev_ = nullptr;
+    Waiter* next_ = nullptr;
+    std::coroutine_handle<> handle_;
+    bool linked_ = false;
   };
+
+  Event() = default;
+  Event(const Event&) = delete;
+  Event& operator=(const Event&) = delete;
+  ~Event() {
+    while (head_ != nullptr) unlink(*head_);
+  }
 
   Waiter wait() { return Waiter{this}; }
 
@@ -41,24 +73,45 @@ class Event {
   void reset() { set_ = false; }
 
   [[nodiscard]] bool is_set() const { return set_; }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
+  [[nodiscard]] std::size_t waiter_count() const { return count_; }
 
   /// Wakes all current waiters without latching the signal (condition
   /// variable style notify_all).
   void pulse() { wake_all(); }
 
  private:
+  void link(Waiter& w) {
+    w.prev_ = tail_;
+    w.next_ = nullptr;
+    (tail_ != nullptr ? tail_->next_ : head_) = &w;
+    tail_ = &w;
+    w.linked_ = true;
+    ++count_;
+  }
+
+  void unlink(Waiter& w) {
+    (w.prev_ != nullptr ? w.prev_->next_ : head_) = w.next_;
+    (w.next_ != nullptr ? w.next_->prev_ : tail_) = w.prev_;
+    w.prev_ = w.next_ = nullptr;
+    w.linked_ = false;
+    --count_;
+  }
+
+  // Oldest first: the engine's insertion-order tie-break then resumes
+  // the waiters in the order they started waiting.
   void wake_all() {
     auto* eng = Engine::current();
-    while (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      eng->schedule_now(h);
+    while (head_ != nullptr) {
+      Waiter& w = *head_;
+      unlink(w);
+      eng->schedule_now(w.handle_);
     }
   }
 
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Waiter* head_ = nullptr;
+  Waiter* tail_ = nullptr;
+  std::size_t count_ = 0;
 };
 
 /// One re-arming deadline timer shared by every waiter of an Event. At

@@ -4,15 +4,19 @@
 // by another task (structured, returns T) or detached onto the engine via
 // `spawn` (fire-and-forget simulation actor). Completion uses symmetric
 // transfer, so arbitrarily deep task chains do not grow the stack.
+// Frames come from the per-thread size-class pool in frame_pool.hpp, so a
+// warmed-up spawn/complete cycle does not touch the heap.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
 
 #include "sim/engine.hpp"
+#include "sim/frame_pool.hpp"
 
 namespace rfs::sim {
 
@@ -25,6 +29,9 @@ struct PromiseBase {
   std::coroutine_handle<> continuation;
   Engine::DetachedLink detached;  // linked by spawn() into the engine's live set
   std::exception_ptr exception;
+
+  static void* operator new(std::size_t n) { return frame_pool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept { frame_pool::deallocate(p, n); }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "cluster/harness.hpp"
 #include "common/units.hpp"
@@ -67,6 +68,40 @@ TEST(WorkerFaultInjector, ExecutionRegistryCountsDoubles) {
   EXPECT_TRUE(inj.note_execution(0));
   EXPECT_TRUE(inj.note_execution(0));
   EXPECT_EQ(inj.counters().double_executions, 1u);
+}
+
+TEST(DedupWindow, ReplaysTheFirstRecordedReply) {
+  rfaas::DedupWindow window;
+  EXPECT_EQ(window.find(7), nullptr);
+  const std::array<std::uint8_t, 3> first{1, 2, 3};
+  const std::array<std::uint8_t, 2> second{9, 9};
+  window.record(7, 0xABC, first.data(), first.size());
+  window.record(7, 0x123, second.data(), second.size());  // a twin: ignored
+  const auto* e = window.find(7);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->checksum12, 0xABCu);
+  EXPECT_EQ(e->output, std::vector<std::uint8_t>(first.begin(), first.end()));
+}
+
+TEST(DedupWindow, EvictsTheOldestTagFirst) {
+  constexpr std::uint64_t kCap = rfaas::DedupWindow::kCapacity;
+  rfaas::DedupWindow window;
+  std::vector<std::uint8_t> out;
+  // Three laps of the ring with replies of varying length: each tag is
+  // replayable for exactly the next kCap - 1 records after its own.
+  for (std::uint64_t tag = 1; tag <= 3 * kCap; ++tag) {
+    out.assign(static_cast<std::size_t>(tag % 37), static_cast<std::uint8_t>(tag));
+    window.record(tag, static_cast<std::uint32_t>(tag), out.data(),
+                  static_cast<std::uint32_t>(out.size()));
+    EXPECT_NE(window.find(tag), nullptr) << tag;
+    if (tag > kCap) EXPECT_EQ(window.find(tag - kCap), nullptr) << tag;
+    if (tag >= kCap) {
+      const auto* oldest = window.find(tag - kCap + 1);
+      ASSERT_NE(oldest, nullptr) << tag;
+      EXPECT_EQ(oldest->output.size(), (tag - kCap + 1) % 37) << tag;
+      EXPECT_EQ(oldest->checksum12, tag - kCap + 1) << tag;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

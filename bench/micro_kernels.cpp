@@ -1,12 +1,14 @@
 // google-benchmark microbenchmarks of the real (wall-clock) building
 // blocks: simulation engine throughput, fabric data movement, base64,
-// CRC32, and the workload kernels. These measure the *simulator's* speed,
-// complementing the virtual-time figure benches.
+// CRC32, the invocation payload checksum, and the workload kernels. These
+// measure the *simulator's* speed, complementing the virtual-time figure
+// benches.
 #include <benchmark/benchmark.h>
 
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
 #include "fabric/fabric.hpp"
+#include "rfaas/protocol.hpp"
 #include "workloads/blackscholes.hpp"
 #include "workloads/image.hpp"
 #include "workloads/linalg.hpp"
@@ -104,6 +106,18 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(1 << 20);
+
+// The data-plane integrity check, four times per fault-tolerant call
+// over 64 B - 4 KiB payloads.
+void BM_PayloadChecksum(benchmark::State& state) {
+  Bytes data(static_cast<std::size_t>(state.range(0)));
+  fill_pattern(data, 2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rfaas::payload_checksum(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PayloadChecksum)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_BlackScholes(benchmark::State& state) {
   auto options = workloads::generate_options(static_cast<std::size_t>(state.range(0)), 3);

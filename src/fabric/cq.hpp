@@ -12,9 +12,9 @@
 // that a completion answers leaves nothing behind in the engine queue.
 #pragma once
 
-#include <deque>
 #include <span>
 
+#include "common/ring_fifo.hpp"
 #include "fabric/model.hpp"
 #include "fabric/verbs.hpp"
 #include "sim/sync.hpp"
@@ -67,7 +67,7 @@ class CompletionQueue {
 
  private:
   const NetworkModel& model_;
-  std::deque<Wc> ready_;
+  RingFifo<Wc> ready_;
   sim::Event arrival_;
   sim::DeadlineTimer deadline_timer_{arrival_};  // wakes deadline waiters
   std::uint64_t delivered_ = 0;

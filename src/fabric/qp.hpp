@@ -13,6 +13,7 @@
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
+#include "common/ring_fifo.hpp"
 #include "fabric/cq.hpp"
 #include "fabric/device.hpp"
 #include "fabric/verbs.hpp"
@@ -95,7 +96,7 @@ class QueuePair {
   QueuePair* peer_ = nullptr;
   QpState state_ = QpState::Reset;
   RnrPolicy rnr_policy_ = RnrPolicy::Error;
-  std::deque<RecvWr> recv_queue_;
+  RingFifo<RecvWr> recv_queue_;
   std::deque<Parked> parked_;  // deliveries waiting for a receive (RnrPolicy::Wait)
 
   friend class Device;

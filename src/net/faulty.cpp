@@ -84,11 +84,41 @@ WorkerFaultInjector::Decision WorkerFaultInjector::decide(fabric::DeviceId devic
 
 bool WorkerFaultInjector::note_execution(std::uint64_t tag) {
   if (tag == 0) return true;
-  if (!executed_tags_.insert(tag).second) {
+  if (!executed_tags_.insert(tag)) {
     ++counters_.double_executions;
     return false;
   }
   return true;
+}
+
+std::size_t WorkerFaultInjector::TagWindow::probe(std::uint64_t tag) const {
+  std::size_t i = home(tag);
+  while (slots_[i] != 0 && slots_[i] != tag) i = (i + 1) & kMask;
+  return i;
+}
+
+bool WorkerFaultInjector::TagWindow::insert(std::uint64_t tag) {
+  const std::size_t slot = probe(tag);
+  if (slots_[slot] == tag) return false;
+  if (fifo_[next_] != 0) erase(fifo_[next_]);  // full: evict the oldest
+  // The erase may have shifted entries, so probe again for the free slot.
+  slots_[probe(tag)] = tag;
+  fifo_[next_] = tag;
+  next_ = (next_ + 1) & (kExecutionWindow - 1);
+  return true;
+}
+
+void WorkerFaultInjector::TagWindow::erase(std::uint64_t tag) {
+  std::size_t hole = probe(tag);
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless its home lies after the hole (it would become unreachable).
+  for (std::size_t j = (hole + 1) & kMask; slots_[j] != 0; j = (j + 1) & kMask) {
+    if (((j - home(slots_[j])) & kMask) >= ((j - hole) & kMask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
 }
 
 }  // namespace rfs::net

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -143,9 +142,15 @@ struct WorkerFaultSpec {
 /// global execution registry for the double-execution gate: every
 /// executed invocation tag is noted once, and a second execution of the
 /// same tag — the exact bug the dedup table and deadline propagation
-/// exist to prevent — is counted, never silently absorbed.
+/// exist to prevent — is counted, never silently absorbed. The registry
+/// remembers the last kExecutionWindow executed tags, far more than an
+/// executor's DedupWindow holds, so every duplicate that could slip past
+/// an evicted dedup entry still counts; it allocates nothing after
+/// construction.
 class WorkerFaultInjector {
  public:
+  static constexpr std::size_t kExecutionWindow = 4096;
+
   explicit WorkerFaultInjector(std::uint64_t seed = 1) : rng_(seed), seed_(seed) {}
 
   /// The injected fate of one invocation dispatch.
@@ -170,7 +175,8 @@ class WorkerFaultInjector {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Notes one execution of `tag`; returns false when the tag was
-  /// already executed (a double execution). tag 0 (FT off) is ignored.
+  /// already executed within the last kExecutionWindow executions (a
+  /// double execution). tag 0 (FT off) is ignored.
   bool note_execution(std::uint64_t tag);
 
   /// Chaos accounting, aggregated over all executors.
@@ -185,11 +191,37 @@ class WorkerFaultInjector {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
+  /// The last kExecutionWindow nonzero tags: a FIFO ring gives the
+  /// eviction order, an open-addressed index (linear probing, load at
+  /// most 1/2, backward-shift deletion) answers membership.
+  class TagWindow {
+   public:
+    TagWindow() : fifo_(kExecutionWindow, 0), slots_(kSlots, 0) {}
+    /// Inserts `tag`, evicting the oldest tag when full; false (and no
+    /// change) when `tag` is already in the window.
+    bool insert(std::uint64_t tag);
+
+   private:
+    static constexpr std::size_t kSlots = 2 * kExecutionWindow;
+    static constexpr std::size_t kMask = kSlots - 1;
+    static std::size_t home(std::uint64_t tag) {
+      return static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ull) >> 40) & kMask;
+    }
+    /// The slot holding `tag`, else the empty slot that ends its probe.
+    [[nodiscard]] std::size_t probe(std::uint64_t tag) const;
+    void erase(std::uint64_t tag);
+
+    std::vector<std::uint64_t> fifo_;   ///< ring; the oldest tag at next_ once full
+    std::vector<std::uint64_t> slots_;  ///< 0 = empty (tag 0 is never stored)
+    std::size_t next_ = 0;
+  };
+  static_assert((kExecutionWindow & (kExecutionWindow - 1)) == 0, "power of two");
+
   Rng rng_;
   std::uint64_t seed_;
   WorkerFaultSpec default_spec_{};
   std::unordered_map<std::uint64_t, WorkerFaultSpec> executors_;
-  std::unordered_set<std::uint64_t> executed_tags_;
+  TagWindow executed_tags_;
   Counters counters_;
 };
 

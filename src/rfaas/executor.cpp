@@ -299,8 +299,10 @@ sim::Task<void> Worker::execute_and_reply(const fabric::Wc& wc, bool hot) {
     if (header.checksum != 0) reply_csum = fold12(payload_checksum(out_buf_->raw(), out_len));
     if (tag != 0) mgr_.dedup_.record(tag, reply_csum, out_buf_->raw(), out_len);
     if (fault.corrupt && out_len > 0) {
+      // First and last byte; a 1-byte output is flipped once, not twice
+      // back to its clean value.
       out_buf_->raw()[0] ^= 0xFF;
-      out_buf_->raw()[out_len - 1] ^= 0xFF;
+      if (out_len > 1) out_buf_->raw()[out_len - 1] ^= 0xFF;
     }
   } else {
     ++rejected_;

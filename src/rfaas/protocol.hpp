@@ -9,6 +9,7 @@
 // immediate value packs the function index and the invocation identifier.
 #pragma once
 
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -71,17 +72,61 @@ struct Imm {
   static std::uint32_t result_checksum(std::uint32_t imm) { return imm >> 20; }
 };
 
-/// 32-bit FNV-1a over a payload — the data-plane integrity check. Cheap
-/// enough for the fast path (one multiply per byte), strong enough to
-/// catch the injected bit flips. fold12() compresses it into the 12
-/// imm bits available for the response direction.
+/// Folds a 64-bit digest into the 32 bits an InvocationHeader carries.
+/// 0 means "not checked" on the wire, so a genuinely zero fold maps to a
+/// fixed nonzero sentinel: a payload can never switch its own check off.
+inline std::uint32_t fold32(std::uint64_t digest) {
+  const auto folded = static_cast<std::uint32_t>(digest ^ (digest >> 32));
+  return folded != 0 ? folded : 0xFFFFFFFFu;
+}
+
+/// The data-plane integrity check: a 32-bit digest of a payload, never 0.
+/// The payload is read eight bytes at a time into four independent
+/// multiply-rotate lanes, so the loop is four short multiply chains that
+/// overlap rather than one serial chain per byte. Each lane step is a
+/// bijection of the lane for a fixed word (and of the word for a fixed
+/// lane), so a change confined to one word always changes the lane. The
+/// lanes are combined with the length (an appended zero byte changes the
+/// digest) and finished by murmur3's fmix64 avalanche before fold32().
+/// fold12() compresses it further into the 12 imm bits available for the
+/// response direction.
 inline std::uint32_t payload_checksum(const std::uint8_t* data, std::size_t len) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
+  constexpr std::uint64_t kMulA = 0x9E3779B185EBCA87ull;
+  constexpr std::uint64_t kMulB = 0xC2B2AE3D27D4EB4Full;
+  const auto mix = [](std::uint64_t lane, std::uint64_t word) {
+    return std::rotl(lane + word * kMulB, 31) * kMulA;
+  };
+  const auto word_at = [data](std::size_t at) {
+    std::uint64_t w;
+    std::memcpy(&w, data + at, sizeof w);
+    return w;
+  };
+
+  std::uint64_t lane[4] = {kMulA + kMulB, kMulB, 0, 0 - kMulA};
+  std::size_t at = 0;
+  for (; at + 32 <= len; at += 32) {
+    lane[0] = mix(lane[0], word_at(at));
+    lane[1] = mix(lane[1], word_at(at + 8));
+    lane[2] = mix(lane[2], word_at(at + 16));
+    lane[3] = mix(lane[3], word_at(at + 24));
   }
-  return h;
+  // At most three whole words remain, then fewer than eight bytes.
+  for (std::size_t k = 0; at + 8 <= len; at += 8, ++k) lane[k] = mix(lane[k], word_at(at));
+  if (at < len) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, data + at, len - at);
+    lane[3] = mix(lane[3], tail);
+  }
+
+  std::uint64_t h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) + std::rotl(lane[2], 12) +
+                    std::rotl(lane[3], 18);
+  h ^= static_cast<std::uint64_t>(len);
+  h ^= h >> 33;  // fmix64
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
+  return fold32(h);
 }
 
 inline std::uint32_t fold12(std::uint32_t checksum) {

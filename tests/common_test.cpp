@@ -1,9 +1,12 @@
 // Unit tests for the common utilities: statistics, base64, byte
-// serialization, CRC, PRNG determinism, units.
+// serialization, CRC, PRNG determinism, units, the ring FIFO.
 #include <gtest/gtest.h>
+
+#include <deque>
 
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
+#include "common/ring_fifo.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
@@ -165,6 +168,28 @@ TEST(Bytes, PatternIsDeterministicAndSeedSensitive) {
   fill_pattern(c, 2);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+TEST(RingFifo, KeepsFifoOrderAcrossWrapAndGrowth) {
+  // Interleaved pushes and pops at a varying depth, so the ring wraps at
+  // every size it grows through; a std::deque is the reference order.
+  RingFifo<std::uint64_t> ring;
+  std::deque<std::uint64_t> ref;
+  Rng rng(17);
+  std::uint64_t next = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t target = i < 10000 ? static_cast<std::size_t>(i / 100) : 3;
+    if (ref.size() < target || (ref.size() == target && rng.bernoulli(0.5))) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    } else if (!ref.empty()) {
+      ASSERT_EQ(ring.front(), ref.front()) << "step " << i;
+      ring.pop_front();
+      ref.pop_front();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    ASSERT_EQ(ring.empty(), ref.empty());
+  }
 }
 
 TEST(Rng, DeterministicStream) {

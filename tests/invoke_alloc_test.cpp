@@ -2,9 +2,10 @@
 // Invoker::invoke_pooled against HotAlways echo workers, a closed loop of
 // four callers with payloads from 64 B to 4 KiB, counted after a warm-up
 // (pooled slots, frame pool, worker buffers, dedup ring, engine queue).
-//   - fault tolerance off: at most 1 allocation per call;
+//   - fault tolerance off: at most 0.5 allocations per call;
 //   - fault tolerance on (deadlines, retries, checksums, hedging, one gray
-//     executor so hedges launch): at most 3 per call.
+//     executor so hedges launch): at most 2 per call.
+// Also: the double-execution registry allocates nothing per call.
 // Every simulated component is counted: the client, the fabric, the
 // executors and the background actors that run while the loop does.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "cluster/harness.hpp"
 #include "common/rng.hpp"
+#include "net/faulty.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -151,19 +153,30 @@ Measured measure(bool fault_tolerant) {
   return m;
 }
 
-TEST(InvokeAllocations, HotPathAllocatesAtMostOncePerCall) {
+TEST(InvokeAllocations, HotPathAllocatesAtMostOnceInTwoCalls) {
   const Measured m = measure(/*fault_tolerant=*/false);
   EXPECT_EQ(m.failed, 0u);
-  EXPECT_LE(m.allocs_per_call, 1.0);
+  EXPECT_LE(m.allocs_per_call, 0.5);
   RecordProperty("allocs_per_call", std::to_string(m.allocs_per_call));
 }
 
-TEST(InvokeAllocations, FaultTolerantPathAllocatesAtMostThreePerCall) {
+TEST(InvokeAllocations, FaultTolerantPathAllocatesAtMostTwicePerCall) {
   const Measured m = measure(/*fault_tolerant=*/true);
   EXPECT_EQ(m.failed, 0u);
   EXPECT_GT(m.hedges, 0u) << "the gray executor should have triggered hedges";
-  EXPECT_LE(m.allocs_per_call, 3.0);
+  EXPECT_LE(m.allocs_per_call, 2.0);
   RecordProperty("allocs_per_call", std::to_string(m.allocs_per_call));
+}
+
+TEST(InvokeAllocations, ExecutionRegistryAllocatesNothingAfterWarmup) {
+  // Every fault-tolerant execution is noted in the chaos ledger; it must
+  // stay bounded however long a run goes.
+  net::WorkerFaultInjector inj(1);
+  for (std::uint64_t seq = 1; seq <= 1000; ++seq) ASSERT_TRUE(inj.note_execution(seq));
+  const std::uint64_t before = g_allocations.load();
+  for (std::uint64_t seq = 1001; seq <= 101000; ++seq) ASSERT_TRUE(inj.note_execution(seq));
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(inj.counters().double_executions, 0u);
 }
 
 }  // namespace

@@ -570,6 +570,76 @@ TEST(ProtocolFastPath, InvocationHeaderRoundTripsAllFaultToleranceFields) {
   }
 }
 
+// payload_checksum properties over a seeded buffer, every length the
+// data path carries (64 B - 4 KiB payloads, and everything shorter).
+constexpr std::size_t kMaxChecksumLen = 4096;
+
+Bytes checksum_buffer() {
+  Bytes buf(kMaxChecksumLen + 1);
+  fill_pattern(buf, 0xC5C5);
+  return buf;
+}
+
+TEST(PayloadChecksum, NeverZeroAtAnyLength) {
+  // 0 is "not checked" in the header: a payload that hashed to 0 would
+  // switch off its own request verification and the reply checksum.
+  const Bytes buf = checksum_buffer();
+  for (std::size_t len = 0; len <= kMaxChecksumLen; ++len) {
+    EXPECT_NE(payload_checksum(buf.data(), len), 0u) << "len " << len;
+  }
+}
+
+TEST(PayloadChecksum, ZeroFoldMapsToFixedSentinel) {
+  // Digests whose two halves cancel fold to 0; fold32 maps every one of
+  // them to the same nonzero value, as fold12 does for the imm bits.
+  for (std::uint64_t digest : {0ull, 0x1234567812345678ull, 0xFFFFFFFFFFFFFFFFull}) {
+    EXPECT_EQ(fold32(digest), 0xFFFFFFFFu) << std::hex << digest;
+  }
+  EXPECT_EQ(fold32(0x0000000100000000ull), 1u);
+  EXPECT_EQ(fold32(0x00000000DEADBEEFull), 0xDEADBEEFu);
+}
+
+TEST(PayloadChecksum, InjectedCorruptionChangesEveryLength) {
+  // The executor's injected corruption: first and last byte ^ 0xFF (one
+  // flip when they are the same byte).
+  Bytes buf = checksum_buffer();
+  for (std::size_t len = 1; len <= kMaxChecksumLen; ++len) {
+    const std::uint32_t clean = payload_checksum(buf.data(), len);
+    buf[0] ^= 0xFF;
+    if (len > 1) buf[len - 1] ^= 0xFF;
+    EXPECT_NE(payload_checksum(buf.data(), len), clean) << "len " << len;
+    buf[0] ^= 0xFF;
+    if (len > 1) buf[len - 1] ^= 0xFF;
+  }
+}
+
+TEST(PayloadChecksum, SingleBitFlipChangesEveryLength) {
+  Bytes buf = checksum_buffer();
+  for (std::size_t len = 1; len <= kMaxChecksumLen; ++len) {
+    const std::uint32_t clean = payload_checksum(buf.data(), len);
+    for (std::size_t pos : {std::size_t{0}, std::size_t{7}, std::size_t{8}, len / 2, len - 1}) {
+      if (pos >= len) continue;
+      for (int bit = 0; bit < 8; ++bit) {
+        buf[pos] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_NE(payload_checksum(buf.data(), len), clean)
+            << "len " << len << " byte " << pos << " bit " << bit;
+        buf[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      }
+    }
+  }
+}
+
+TEST(PayloadChecksum, AppendingAZeroByteChangesTheValue) {
+  Bytes buf = checksum_buffer();
+  for (std::size_t len = 0; len < kMaxChecksumLen; ++len) {
+    const std::uint8_t saved = buf[len];
+    buf[len] = 0;
+    EXPECT_NE(payload_checksum(buf.data(), len + 1), payload_checksum(buf.data(), len))
+        << "len " << len;
+    buf[len] = saved;
+  }
+}
+
 TEST(ProtocolFuzz, RandomCorruptionNeverCrashes) {
   Rng rng(123);
   auto msgs = sample_messages();

@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <unordered_set>
 #include <vector>
 
 #include "cluster/harness.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "net/faulty.hpp"
 #include "rfaas/invoker.hpp"
@@ -68,6 +71,48 @@ TEST(WorkerFaultInjector, ExecutionRegistryCountsDoubles) {
   EXPECT_TRUE(inj.note_execution(0));
   EXPECT_TRUE(inj.note_execution(0));
   EXPECT_EQ(inj.counters().double_executions, 1u);
+}
+
+TEST(WorkerFaultInjector, DuplicateAfter4000DistinctTagsStillCounts) {
+  // Far past the 128-slot DedupWindow: a duplicate the executor's dedup
+  // table has long forgotten must still reach the double-execution gate.
+  net::WorkerFaultInjector inj(1);
+  const std::uint64_t first = (7ull << 32) | 1;
+  EXPECT_TRUE(inj.note_execution(first));
+  for (std::uint64_t seq = 2; seq <= 4001; ++seq) {
+    EXPECT_TRUE(inj.note_execution((7ull << 32) | seq));
+  }
+  EXPECT_FALSE(inj.note_execution(first));
+  EXPECT_EQ(inj.counters().double_executions, 1u);
+}
+
+TEST(WorkerFaultInjector, ExecutionWindowMatchesAReferenceFifo) {
+  // Random tags from a small pool (so repeats inside and outside the
+  // window both happen) against a deque + set model of "the last
+  // kExecutionWindow executed tags": exercises eviction and the index's
+  // deletion under heavy probe-run churn.
+  constexpr std::size_t kWindow = net::WorkerFaultInjector::kExecutionWindow;
+  net::WorkerFaultInjector inj(1);
+  std::deque<std::uint64_t> fifo;
+  std::unordered_set<std::uint64_t> window;
+  Rng rng(0xA11CE);
+  std::uint64_t doubles = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t tag = rng.uniform_int(1, 3 * kWindow);
+    const bool fresh = !window.contains(tag);
+    if (fresh) {
+      if (fifo.size() == kWindow) {
+        window.erase(fifo.front());
+        fifo.pop_front();
+      }
+      fifo.push_back(tag);
+      window.insert(tag);
+    } else {
+      ++doubles;
+    }
+    ASSERT_EQ(inj.note_execution(tag), fresh) << "call " << i << " tag " << tag;
+  }
+  EXPECT_EQ(inj.counters().double_executions, doubles);
 }
 
 TEST(DedupWindow, ReplaysTheFirstRecordedReply) {
